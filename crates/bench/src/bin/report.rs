@@ -14,7 +14,6 @@ use denali_bench::{compile_checked, default_denali, programs};
 use denali_core::{Denali, Options, SolverChoice};
 use denali_egraph::EGraph;
 use denali_lang::{lower_proc, parse_program};
-use denali_sat::SolverConfig;
 use denali_term::Term;
 
 fn main() {
@@ -342,7 +341,6 @@ fn e4_sat_sizes() {
     // assumptions: probe order, with learned clauses carried into each
     // probe from its predecessors.
     let incremental = Denali::new(Options {
-        threads: 1,
         incremental: true,
         ..default_denali().options().clone()
     });
@@ -367,35 +365,6 @@ fn e4_sat_sizes() {
         compiled.probes.len()
     );
 
-    // E4p: the same probes raced across a portfolio of diversified CDCL
-    // configurations (first verdict wins, losers cancelled). The output
-    // is pinned byte-identical to the single-solver runs above; what
-    // the race changes is *which* strategy answers each probe first.
-    const WIDTH: usize = 4;
-    let portfolio = Denali::new(Options {
-        portfolio: WIDTH,
-        incremental: false,
-        ..default_denali().options().clone()
-    });
-    let result = portfolio
-        .compile_source(programs::BYTESWAP4)
-        .expect("compiles");
-    let compiled = &result.gmas[0];
-    let mut wins = [0usize; WIDTH];
-    for p in &compiled.probes {
-        let winner = p.winner.expect("portfolio probes record a winner") as usize;
-        wins[winner] += 1;
-    }
-    println!(
-        "    portfolio (width {WIDTH}, {} probes) — wins per configuration:",
-        compiled.probes.len()
-    );
-    for (i, count) in wins.iter().enumerate() {
-        println!(
-            "    measured: config {i} [{}]: {count:2} wins",
-            SolverConfig::diversified(i)
-        );
-    }
     println!();
 }
 

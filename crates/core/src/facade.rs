@@ -46,31 +46,23 @@ pub struct Options {
     /// Automatically software-pipeline loop loads (the Figure 6 hand
     /// transformation, mechanized; the paper's unimplemented design).
     pub pipeline_loads: bool,
-    /// Worker threads for both phases: parallel e-matching during
-    /// saturation and speculative SAT probes during the search. `1` is
-    /// the serial pipeline, `0` means one thread per available CPU.
+    /// Worker threads for parallel e-matching during saturation: `1` is
+    /// the serial matcher, `0` means one thread per available CPU.
     /// Results are byte-identical at every setting. Any value other
-    /// than `1` overrides [`SaturationLimits::threads`]. Defaults to
-    /// the `DENALI_THREADS` environment variable, else `1`.
+    /// than `1` overrides [`SaturationLimits::threads`]. The SAT search
+    /// is serial at every setting. Defaults to the `DENALI_THREADS`
+    /// environment variable, else `1`.
     pub threads: usize,
     /// Reuse one persistent CDCL solver across the search's cycle
-    /// budgets via assumption probing (serial CDCL searches without a
-    /// DIMACS dump only; speculative and DPLL probes keep per-probe
-    /// solvers). Probe outcomes, cycle counts, certificates, and
-    /// programs are identical either way — only wall-clock and the
-    /// reported formula/solver counters change. Defaults to on;
-    /// `DENALI_INCREMENTAL=0` turns it off.
+    /// budgets via assumption probing (the default). `false` selects
+    /// the reference path, a fresh solver per probe, which DPLL
+    /// searches and DIMACS dumps always use. Probe outcomes, cycle
+    /// counts, certificates, and programs are identical either way —
+    /// only wall-clock and the reported formula/solver counters change.
     pub incremental: bool,
-    /// Portfolio width for SAT probes: `0` (the default) or `1` races
-    /// nothing; `N >= 2` answers every probe by racing N diversified
-    /// CDCL configurations (restart schedule, initial phase / phase
-    /// saving, VSIDS decay) on scoped threads, cancelling the losers as
-    /// soon as the first verdict lands. Output is byte-identical to the
-    /// non-portfolio pipeline — only wall-clock and the reported solver
-    /// counters change — so, like [`Options::threads`], this is never
-    /// part of the compilation fingerprint. Forces fresh per-probe
-    /// solvers and is ignored under DPLL. Defaults to the
-    /// `DENALI_PORTFOLIO` environment variable, else `0`.
+    /// An execution hint with no effect: SAT probes are never raced.
+    /// Kept so existing callers still build; never part of the
+    /// compilation fingerprint.
     pub portfolio: usize,
     /// Collect a structured trace of the pipeline (hierarchical spans
     /// and events; see `docs/TRACING.md`). Tracing never perturbs
@@ -115,8 +107,8 @@ impl Default for Options {
             dump_dimacs: None,
             pipeline_loads: false,
             threads: env_threads(),
-            incremental: env_incremental(),
-            portfolio: env_portfolio(),
+            incremental: true,
+            portfolio: 0,
             trace: denali_trace::env_enabled(),
             cancel: None,
             engine: env_engine(),
@@ -133,22 +125,6 @@ fn env_threads() -> usize {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(1)
-}
-
-/// `DENALI_INCREMENTAL` (`0`/`false`/`off` disable), defaulting to on.
-fn env_incremental() -> bool {
-    match std::env::var("DENALI_INCREMENTAL") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
-}
-
-/// `DENALI_PORTFOLIO` (a race width, `0`/`1` = off), defaulting to off.
-fn env_portfolio() -> usize {
-    std::env::var("DENALI_PORTFOLIO")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 /// Code generation for one GMA, with full diagnostics.

@@ -4,9 +4,8 @@
 //! determines a compilation's *output*: the lowered GMAs, the full
 //! axiom set, and the output-affecting subset of [`Options`]. Knobs
 //! that only change wall-clock or observability — `threads`,
-//! `incremental`, `portfolio`, `trace`, `dump_dimacs`,
-//! `saturation.delta_match`, and the cancellation token — are
-//! deliberately excluded: the
+//! `incremental`, `trace`, `dump_dimacs`, `saturation.delta_match`, and
+//! the cancellation token — are deliberately excluded: the
 //! pipeline's determinism contract guarantees byte-identical results
 //! across all of them, so requests differing only in those knobs may
 //! share one cached result.
@@ -230,7 +229,6 @@ mod tests {
         let key = fingerprint(&gmas, &axioms, &base);
         let mut other = base.clone();
         other.threads = 8;
-        other.portfolio = 4;
         other.incremental = !base.incremental;
         other.trace = true;
         other.dump_dimacs = Some(std::path::PathBuf::from("/tmp/nowhere"));

@@ -8,63 +8,35 @@
 //! and outcome of every SAT problem (the paper reports these sizes for
 //! byteswap4 in §8).
 //!
-//! # Incremental probing
+//! # One serial probe path
 //!
 //! The probes are a sequence of closely related SAT problems — the
-//! encodings differ only in the cycle budget — so the serial CDCL
-//! search defaults to *incremental* mode ([`SearchParams::incremental`]):
-//! one [`IncrementalEncoding`] holds a persistent solver, growing the
+//! encodings differ only in the cycle budget — so CDCL searches probe
+//! *incrementally* by default ([`SearchParams::incremental`]): one
+//! [`IncrementalEncoding`] holds a persistent solver, growing the
 //! encoded horizon during geometric ascent and restricting it back down
 //! per probe with assumption literals, so learned clauses, variable
-//! activity, and saved polarities carry over between budgets. The probe
-//! log's (K, SAT/UNSAT) sequence, the chosen cycle count, the
-//! optimality certificate, and the decoded program are identical to
-//! fresh-solver mode; only formula sizes and solver counters differ
-//! (they are cumulative for the live solver). Speculative (`threads >
-//! 1`), DPLL, and DIMACS-dumping searches keep fresh per-probe solvers.
+//! activity, and saved polarities carry over between budgets. The
+//! winning budget is then decoded by one canonical fresh re-solve of its
+//! standalone encoding.
 //!
-//! # Speculation
-//!
-//! With [`SearchParams::threads`] > 1 the search becomes *speculative*:
-//! each probe owns its CNF and solver, so while the current budget is
-//! being decided the budgets the search would visit *next* are encoded
-//! and solved concurrently on scoped threads. During geometric ascent
-//! the partner of budget `K` is `2K` (needed exactly when `K` is
-//! UNSAT); during binary search the partners of the midpoint are the
-//! two possible next midpoints (one needed per outcome). As soon as
-//! the primary probe resolves, the speculation on the losing branch is
-//! cancelled via [`CancelToken`] and both solvers abandon it at their
-//! next 1024-step checkpoint (the CDCL solver via its interrupt flag,
-//! DPLL via `solve_interruptible`). Completed speculations are cached
-//! and consumed when — and only when — the serial control flow reaches
-//! their budget, so the probe log, the chosen program, and the cycle
-//! count are identical to the serial search at any thread count.
-//!
-//! # Portfolio probing
-//!
-//! With [`SearchParams::portfolio`] >= 2 each consumed probe is decided
-//! by a *race*: N diversified CDCL configurations (restart schedule,
-//! initial phase / phase saving, VSIDS decay — see
-//! [`SolverConfig::diversified`]) attack the same formula on scoped
-//! threads, the first verdict wins, and the losers are cancelled via
-//! per-lane [`CancelToken`]s. Every lane's verdict is necessarily the
-//! same, so consuming the winner's answer keeps the probe log exact;
-//! the winning budget is decoded by the canonical fresh re-solve
-//! (default configuration), so the decoded program is byte-identical no
-//! matter which lane won. Portfolio composes with speculation (each
-//! speculative probe races its own portfolio) and forces fresh
-//! per-probe solvers.
+//! A fresh solver per probe remains where it is needed: under DPLL
+//! (which has no assumption interface), for DIMACS dumps (which want one
+//! standalone CNF per probe), and on the `incremental: false` reference
+//! path the incremental one is checked against. The probe log's
+//! (K, SAT/UNSAT) sequence, the chosen cycle count, the optimality
+//! certificate, and the decoded program are identical on both; only
+//! formula sizes and solver counters differ (they are cumulative for the
+//! live solver).
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use denali_arch::{Machine, Program};
 use denali_lang::Gma;
 use denali_par::CancelToken;
 use denali_sat::dimacs::Cnf;
-use denali_sat::{dpll, SolveResult, SolverConfig, SolverStats};
+use denali_sat::{dpll, SolveResult, SolverStats};
 use denali_trace::{field, Tracer};
 
 use crate::encode::{encode, EncodeOptions, IncrementalEncoding, LaunchCoord};
@@ -104,15 +76,8 @@ pub struct ProbeStats {
     /// CDCL search counters for this probe (`None` under DPLL). In
     /// incremental mode the work counters are per-probe deltas and the
     /// `solves`/`carried_learned`/`carried_activity` gauges show the
-    /// solver reuse. In portfolio mode these are the winning lane's
-    /// counters.
+    /// solver reuse.
     pub solver: Option<SolverStats>,
-    /// In portfolio mode: the index of the [`SolverConfig::diversified`]
-    /// configuration whose verdict landed first. `None` outside
-    /// portfolio races. Which lane wins is a wall-clock race — it may
-    /// differ between runs even though the verdict (and therefore the
-    /// search's output) never does.
-    pub winner: Option<u32>,
 }
 
 impl fmt::Display for ProbeStats {
@@ -205,39 +170,29 @@ pub struct DimacsDump {
     pub label: String,
 }
 
-/// How the search runs: engine, budget ceiling, parallelism, dumps.
+/// How the search runs: engine, budget ceiling, probe path, dumps.
 #[derive(Clone, Debug)]
 pub struct SearchParams {
     /// SAT engine answering the probes.
     pub solver: SolverChoice,
     /// Give up if no schedule exists within this many cycles.
     pub max_cycles: u32,
-    /// Worker threads for speculative probing: `1` is the serial
-    /// search, `0` means one thread per available CPU. The result is
-    /// identical at every setting; only wall-clock changes.
+    /// An execution hint with no effect: the probe search is serial.
+    /// Kept so existing callers still build.
     pub threads: usize,
     /// Reuse one persistent CDCL solver across budgets via assumption
-    /// probing. Applies only to serial (`threads == 1`) CDCL searches
-    /// without a DIMACS dump — speculative probes need per-probe
-    /// solvers, DPLL has no assumption interface, and dumps want one
+    /// probing (the default). `false` selects the fresh-solver-per-probe
+    /// reference path. DPLL searches and DIMACS dumps always probe
+    /// fresh — DPLL has no assumption interface, and dumps want one
     /// standalone CNF per probe. The probe outcomes, cycle count,
     /// certificate, and decoded program are identical either way.
     pub incremental: bool,
-    /// If set, every *consumed* probe's CNF is written here in DIMACS
-    /// format (`<label>_k<K>.cnf`). Cancelled speculations are not
-    /// dumped, so the file set matches the serial search. A dump
-    /// disables incremental probing (see [`SearchParams::incremental`]).
+    /// If set, every probe's CNF is written here in DIMACS format
+    /// (`<label>_k<K>.cnf`). A dump disables incremental probing (see
+    /// [`SearchParams::incremental`]).
     pub dump: Option<DimacsDump>,
-    /// Portfolio width: `0` or `1` disables portfolio probing; `N >= 2`
-    /// races N diversified CDCL configurations
-    /// ([`SolverConfig::diversified`]) on every consumed probe, each on
-    /// its own scoped thread, cancelling the losers the moment the
-    /// first verdict lands. Only the winner's SAT/UNSAT verdict is
-    /// consumed — the winning budget is still decoded by the canonical
-    /// fresh re-solve — so the output is byte-identical to a
-    /// non-portfolio search. Ignored under DPLL (the naive engine has
-    /// no strategy knobs), and forces fresh per-probe solvers (a
-    /// portfolio race cannot share one persistent incremental solver).
+    /// An execution hint with no effect. Kept so existing callers still
+    /// build.
     pub portfolio: usize,
     /// External cancellation (deadlines, shutdown). When raised, the
     /// search stops at the next budget boundary — or mid-probe, at the
@@ -260,357 +215,66 @@ impl Default for SearchParams {
     }
 }
 
-/// Everything a probe needs, bundled so it can be handed to a scoped
-/// thread by copy.
-#[derive(Clone, Copy)]
-struct ProbeCtx<'a> {
-    matched: &'a Matched,
-    candidates: &'a Candidates,
-    machine: &'a Machine,
-    options: &'a EncodeOptions,
-    solver: SolverChoice,
-    /// Portfolio width (0/1 = off); see [`SearchParams::portfolio`].
-    portfolio: usize,
-}
-
-/// One lane of a portfolio race, recorded for tracing and the per-config
-/// win table in `report e4`.
-#[derive(Clone, Copy, Debug)]
-struct LaneProbe {
-    /// Index into [`SolverConfig::diversified`].
-    config: u32,
-    /// `Some(satisfiable)` if the lane finished; `None` if it was
-    /// cancelled by the winner (or an external deadline).
-    outcome: Option<bool>,
-    /// Wall-clock milliseconds this lane ran.
-    solve_ms: f64,
-    /// The lane's own solver counters.
-    stats: SolverStats,
-}
-
 /// A completed probe: its log entry plus the artifacts needed to decode
 /// or dump it.
 struct ProbeRun {
     stats: ProbeStats,
     /// The model's true launches when satisfiable. Fresh probes decode
-    /// their own model; incremental and portfolio probes leave this
-    /// `None` and the winner is decoded by one canonical fresh
-    /// re-solve.
+    /// their own model; incremental probes leave this `None` and the
+    /// winner is decoded by one canonical fresh re-solve.
     launches: Option<Vec<LaunchCoord>>,
     /// The probe's standalone formula, kept for DIMACS dumps (fresh
     /// probes only).
     cnf: Option<Cnf>,
-    /// Per-configuration race records (empty outside portfolio mode).
-    lanes: Vec<LaneProbe>,
 }
 
-enum ProbeOutcome {
-    Done(Box<ProbeRun>),
-    /// The cancel flag was raised before the solver finished; the
-    /// budget's status is unknown and nothing may be cached.
-    Interrupted,
-}
-
-fn run_probe(ctx: ProbeCtx<'_>, k: u32, cancel: Option<&CancelToken>) -> ProbeOutcome {
-    let encode_start = Instant::now();
-    let encoding = encode(ctx.matched, ctx.candidates, ctx.machine, k, ctx.options);
-    let encode_ms = encode_start.elapsed().as_secs_f64() * 1e3;
-    if ctx.solver == SolverChoice::Cdcl && ctx.portfolio >= 2 {
-        // Portfolio race: only the verdict is consumed (the winner is
-        // decoded by the canonical fresh re-solve), so the lanes never
-        // extract a model.
-        return match race_portfolio(&encoding.cnf, ctx.portfolio, cancel) {
-            Some(race) => ProbeOutcome::Done(Box::new(ProbeRun {
-                stats: ProbeStats {
-                    k,
-                    vars: encoding.num_vars(),
-                    clauses: encoding.num_clauses(),
-                    satisfiable: race.satisfiable,
-                    solve_ms: race.solve_ms,
-                    encode_ms,
-                    solver: Some(race.stats),
-                    winner: Some(race.winner),
-                },
-                launches: None,
-                cnf: Some(encoding.cnf),
-                lanes: race.lanes,
-            })),
-            None => ProbeOutcome::Interrupted,
-        };
-    }
-    let solve_start = Instant::now();
-    let (satisfiable, model, solver_stats) = match ctx.solver {
-        SolverChoice::Cdcl => {
-            let mut s = encoding.cnf.to_solver();
-            if let Some(token) = cancel {
-                s.set_interrupt(token.handle());
-            }
-            match s.solve() {
-                SolveResult::Sat => (
-                    true,
-                    Some(s.model().expect("sat model").to_vec()),
-                    Some(s.stats()),
-                ),
-                SolveResult::Unsat => (false, None, Some(s.stats())),
-                SolveResult::Interrupted => return ProbeOutcome::Interrupted,
-            }
-        }
-        SolverChoice::Dpll => {
-            let flag = cancel.map(|token| token.handle());
-            match dpll::solve_interruptible(
-                encoding.cnf.num_vars,
-                &encoding.cnf.clauses,
-                flag.as_deref(),
-            ) {
-                dpll::DpllResult::Sat(m) => (true, Some(m), None),
-                dpll::DpllResult::Unsat => (false, None, None),
-                dpll::DpllResult::Interrupted => return ProbeOutcome::Interrupted,
-            }
-        }
-    };
-    let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
-    let launches = model.map(|m| encoding.true_launches(&m));
-    ProbeOutcome::Done(Box::new(ProbeRun {
-        stats: ProbeStats {
-            k,
-            vars: encoding.num_vars(),
-            clauses: encoding.num_clauses(),
-            satisfiable,
-            solve_ms,
-            encode_ms,
-            solver: solver_stats,
-            winner: None,
-        },
-        launches,
-        cnf: Some(encoding.cnf),
-        lanes: Vec::new(),
-    }))
-}
-
-/// The consumed result of a portfolio race.
-struct PortfolioRace {
-    /// The winning lane's verdict.
-    satisfiable: bool,
-    /// The winning configuration's index.
-    winner: u32,
-    /// The winning lane's wall-clock milliseconds.
-    solve_ms: f64,
-    /// The winning lane's solver counters.
-    stats: SolverStats,
-    /// Every lane's record, in configuration order.
-    lanes: Vec<LaneProbe>,
-}
-
-/// Races `width` diversified CDCL configurations on `cnf`, each on its
-/// own scoped thread with its own [`CancelToken`]. The first lane to
-/// finish claims the race and cancels the rest, which abandon the
-/// formula at their next 1024-step checkpoint. Any lane's verdict is
-/// correct (the solvers differ only in strategy), so whichever wins,
-/// the consumed SAT/UNSAT answer — and therefore the search's output —
-/// is the same.
-///
-/// Returns `None` only when the external `cancel` flag interrupted the
-/// race before any lane finished.
-fn race_portfolio(cnf: &Cnf, width: usize, cancel: Option<&CancelToken>) -> Option<PortfolioRace> {
-    const NO_WINNER: usize = usize::MAX;
-    let winner = AtomicUsize::new(NO_WINNER);
-    let done = AtomicUsize::new(0);
-    let tokens: Vec<CancelToken> = (0..width).map(|_| CancelToken::new()).collect();
-    let lanes: Vec<LaneProbe> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..width)
-            .map(|i| {
-                let tokens = &tokens;
-                let winner = &winner;
-                let done = &done;
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let mut s = cnf.to_solver_with(SolverConfig::diversified(i));
-                    s.set_interrupt(tokens[i].handle());
-                    let result = s.solve();
-                    let solve_ms = start.elapsed().as_secs_f64() * 1e3;
-                    let outcome = match result {
-                        SolveResult::Sat => Some(true),
-                        SolveResult::Unsat => Some(false),
-                        SolveResult::Interrupted => None,
-                    };
-                    if outcome.is_some()
-                        && winner
-                            .compare_exchange(NO_WINNER, i, Ordering::Relaxed, Ordering::Relaxed)
-                            .is_ok()
-                    {
-                        // First verdict in: kill the losing lanes.
-                        for (j, token) in tokens.iter().enumerate() {
-                            if j != i {
-                                token.cancel();
-                            }
-                        }
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                    LaneProbe {
-                        config: i as u32,
-                        outcome,
-                        solve_ms,
-                        stats: s.stats(),
-                    }
-                })
-            })
-            .collect();
-        // The CDCL interrupt checkpoint watches exactly one flag, so an
-        // external deadline has to be forwarded into the lane tokens by
-        // hand; the caller's thread polls for it while the race runs.
-        if let Some(external) = cancel {
-            while done.load(Ordering::Relaxed) < width {
-                if external.is_cancelled() {
-                    for token in &tokens {
-                        token.cancel();
-                    }
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("portfolio lane panicked"))
-            .collect()
-    });
-    let winner = winner.load(Ordering::Relaxed);
-    let lane = *lanes.get(winner)?;
-    Some(PortfolioRace {
-        satisfiable: lane.outcome.expect("winning lane finished"),
-        winner: winner as u32,
-        solve_ms: lane.solve_ms,
-        stats: lane.stats,
-        lanes,
-    })
-}
-
-/// Which primary outcome keeps a speculative probe on the search path.
-#[derive(Clone, Copy)]
-enum Keep {
-    IfSat,
-    IfUnsat,
-}
-
-/// The probe scheduler: runs primaries (with optional speculation on
-/// the budgets the search would visit next), caches completed
-/// speculations, and *consumes* probes strictly in the serial search
-/// order — so the probe log and DIMACS dumps are oblivious to
-/// parallelism.
-struct Scheduler<'a> {
-    ctx: ProbeCtx<'a>,
-    /// Extra worker threads available for speculation (0 = serial).
-    workers: usize,
+/// The probe engine for the whole search: the persistent incremental
+/// CDCL solver, or a fresh solver per probe. Probes run strictly in
+/// search order; each is logged, traced and (optionally) dumped as it
+/// completes.
+struct Prober<'a> {
+    matched: &'a Matched,
+    candidates: &'a Candidates,
+    machine: &'a Machine,
+    options: &'a EncodeOptions,
+    solver: SolverChoice,
+    /// The live encoding when probing incrementally. Boxed: it holds
+    /// the whole persistent solver.
+    incremental: Option<Box<IncrementalEncoding<'a>>>,
     dump: Option<&'a DimacsDump>,
-    /// External cancellation, threaded into every primary probe so a
-    /// deadline can abandon the solver mid-probe.
+    /// External cancellation, threaded into every fresh solver so a
+    /// deadline can abandon it mid-probe.
     cancel: Option<&'a CancelToken>,
-    cache: HashMap<u32, ProbeRun>,
     probes: Vec<ProbeStats>,
 }
 
-impl<'a> Scheduler<'a> {
-    fn new(
-        ctx: ProbeCtx<'a>,
-        threads: usize,
-        dump: Option<&'a DimacsDump>,
-        cancel: Option<&'a CancelToken>,
-    ) -> Scheduler<'a> {
-        Scheduler {
-            ctx,
-            workers: denali_par::resolve_threads(threads).saturating_sub(1),
-            dump,
-            cancel,
-            cache: HashMap::new(),
-            probes: Vec::new(),
-        }
-    }
-
-    /// Probes `primary`, speculating on `speculative` budgets (each
-    /// tagged with the primary outcome that keeps it relevant; losers
-    /// are cancelled). Returns the primary's completed run after
-    /// logging and (optionally) dumping it.
-    fn probe(
-        &mut self,
-        primary: u32,
-        speculative: &[(u32, Keep)],
-        tracer: &Tracer,
-    ) -> Result<ProbeRun, SearchError> {
-        let run = match self.cache.remove(&primary) {
-            Some(run) => run,
-            None if self.workers == 0 || speculative.is_empty() => {
-                match run_probe(self.ctx, primary, self.cancel) {
-                    ProbeOutcome::Done(run) => *run,
-                    ProbeOutcome::Interrupted => return Err(SearchError::cancelled()),
+impl Prober<'_> {
+    /// Probes budget `k`, then logs, traces and dumps it.
+    fn probe(&mut self, k: u32, tracer: &Tracer) -> Result<ProbeRun, SearchError> {
+        let run = match &mut self.incremental {
+            Some(inc) => {
+                let p = inc.probe_traced(k, tracer);
+                if p.interrupted {
+                    return Err(SearchError::cancelled());
                 }
-            }
-            None => self.run_speculating(primary, speculative)?,
-        };
-        self.consume(run, tracer)
-    }
-
-    /// Runs `primary` on the caller's thread while speculations run on
-    /// scoped threads; cancels losers the moment the primary resolves.
-    /// If external cancellation interrupts the primary, every
-    /// speculation is cancelled and joined before the error returns.
-    fn run_speculating(
-        &mut self,
-        primary: u32,
-        speculative: &[(u32, Keep)],
-    ) -> Result<ProbeRun, SearchError> {
-        let ctx = self.ctx;
-        let cancel = self.cancel;
-        let launches: Vec<(u32, Keep)> = speculative
-            .iter()
-            .filter(|(k, _)| !self.cache.contains_key(k))
-            .take(self.workers)
-            .copied()
-            .collect();
-        let (run, completed) = std::thread::scope(|scope| {
-            let handles: Vec<_> = launches
-                .iter()
-                .map(|&(k, keep)| {
-                    let token = CancelToken::new();
-                    let worker_token = token.clone();
-                    let handle = scope.spawn(move || run_probe(ctx, k, Some(&worker_token)));
-                    (k, keep, token, handle)
-                })
-                .collect();
-            let run = match run_probe(ctx, primary, cancel) {
-                ProbeOutcome::Done(run) => Some(*run),
-                ProbeOutcome::Interrupted => None,
-            };
-            for (_, keep, token, _) in &handles {
-                let off_path = match &run {
-                    // Cancelled search: nothing is on-path any more.
-                    None => true,
-                    Some(run) => match keep {
-                        Keep::IfSat => !run.stats.satisfiable,
-                        Keep::IfUnsat => run.stats.satisfiable,
+                ProbeRun {
+                    stats: ProbeStats {
+                        k,
+                        vars: p.vars,
+                        clauses: p.clauses,
+                        satisfiable: p.satisfiable,
+                        solve_ms: p.solve_ms,
+                        encode_ms: p.encode_ms,
+                        solver: Some(p.stats),
                     },
-                };
-                if off_path {
-                    token.cancel();
+                    launches: None,
+                    cnf: None,
                 }
             }
-            let completed: Vec<(u32, ProbeOutcome)> = handles
-                .into_iter()
-                .map(|(k, _, _, handle)| (k, handle.join().expect("speculative probe panicked")))
-                .collect();
-            (run, completed)
-        });
-        for (k, outcome) in completed {
-            if let ProbeOutcome::Done(done) = outcome {
-                self.cache.insert(k, *done);
-            }
-        }
-        run.ok_or_else(SearchError::cancelled)
-    }
-
-    /// Logs a probe the serial control flow has reached, writing its
-    /// DIMACS dump if requested. A dump failure is a hard error — a
-    /// silently missing CNF defeats the point of dumping.
-    fn consume(&mut self, run: ProbeRun, tracer: &Tracer) -> Result<ProbeRun, SearchError> {
+            None => self.probe_fresh(k)?,
+        };
+        // A dump failure is a hard error — a silently missing CNF
+        // defeats the point of dumping.
         if let Some(dump) = self.dump {
             std::fs::create_dir_all(&dump.directory).map_err(|e| {
                 SearchError::new(format!(
@@ -628,19 +292,65 @@ impl<'a> Scheduler<'a> {
         }
         self.probes.push(run.stats);
         emit_probe_trace(tracer, &run.stats);
-        emit_portfolio_trace(tracer, &run.stats, &run.lanes);
         Ok(run)
+    }
+
+    /// Encodes budget `k` standalone and solves it with a fresh solver.
+    fn probe_fresh(&self, k: u32) -> Result<ProbeRun, SearchError> {
+        let encode_start = Instant::now();
+        let encoding = encode(self.matched, self.candidates, self.machine, k, self.options);
+        let encode_ms = encode_start.elapsed().as_secs_f64() * 1e3;
+        let solve_start = Instant::now();
+        let (satisfiable, model, solver_stats) = match self.solver {
+            SolverChoice::Cdcl => {
+                let mut s = encoding.cnf.to_solver();
+                if let Some(token) = self.cancel {
+                    s.set_interrupt(token.handle());
+                }
+                match s.solve() {
+                    SolveResult::Sat => (
+                        true,
+                        Some(s.model().expect("sat model").to_vec()),
+                        Some(s.stats()),
+                    ),
+                    SolveResult::Unsat => (false, None, Some(s.stats())),
+                    SolveResult::Interrupted => return Err(SearchError::cancelled()),
+                }
+            }
+            SolverChoice::Dpll => {
+                let flag = self.cancel.map(|token| token.handle());
+                match dpll::solve_interruptible(
+                    encoding.cnf.num_vars,
+                    &encoding.cnf.clauses,
+                    flag.as_deref(),
+                ) {
+                    dpll::DpllResult::Sat(m) => (true, Some(m), None),
+                    dpll::DpllResult::Unsat => (false, None, None),
+                    dpll::DpllResult::Interrupted => return Err(SearchError::cancelled()),
+                }
+            }
+        };
+        let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
+        let launches = model.map(|m| encoding.true_launches(&m));
+        Ok(ProbeRun {
+            stats: ProbeStats {
+                k,
+                vars: encoding.num_vars(),
+                clauses: encoding.num_clauses(),
+                satisfiable,
+                solve_ms,
+                encode_ms,
+                solver: solver_stats,
+            },
+            launches,
+            cnf: Some(encoding.cnf),
+        })
     }
 }
 
-/// Logs one consumed probe as a retrospective `probe` span (with nested
-/// `encode` and `solve` children) plus a `sat.probe` event carrying the
-/// full counter set.
-///
-/// Called only at *consume* time — the moment the serial control flow
-/// reaches the probe — never from [`run_probe`], which may execute
-/// speculatively on a worker thread. That keeps the record stream
-/// identical at every thread count (the determinism contract).
+/// Logs one probe as a retrospective `probe` span (with nested `encode`
+/// and `solve` children) plus a `sat.probe` event carrying the full
+/// counter set.
 fn emit_probe_trace(tracer: &Tracer, stats: &ProbeStats) {
     if !tracer.is_enabled() {
         return;
@@ -682,115 +392,8 @@ fn emit_probe_trace(tracer: &Tracer, stats: &ProbeStats) {
                 field("carried_activity", s.carried_activity),
             ]);
         }
-        if let Some(winner) = stats.winner {
-            fields.push(field("winner", winner));
-        }
         fields
     });
-}
-
-/// Logs a consumed portfolio race: one `sat.probe` event per lane,
-/// tagged with its configuration index, plus a `portfolio.win` event
-/// naming the winner. Lane records are race-dependent by construction
-/// (which lane wins, and how far the losers got before cancellation,
-/// varies run to run), so these events are excluded from the
-/// normalized-trace determinism contract — unlike everything else in
-/// the trace, they describe wall-clock behaviour, not the search.
-fn emit_portfolio_trace(tracer: &Tracer, stats: &ProbeStats, lanes: &[LaneProbe]) {
-    if !tracer.is_enabled() || lanes.is_empty() {
-        return;
-    }
-    for lane in lanes {
-        tracer.event("sat.probe", || {
-            vec![
-                field("k", stats.k),
-                field("config", lane.config),
-                field(
-                    "outcome",
-                    match lane.outcome {
-                        Some(true) => "sat",
-                        Some(false) => "unsat",
-                        None => "cancelled",
-                    },
-                ),
-                field("solve_ms", lane.solve_ms),
-                field("decisions", lane.stats.decisions),
-                field("propagations", lane.stats.propagations),
-                field("conflicts", lane.stats.conflicts),
-                field("restarts", lane.stats.restarts),
-            ]
-        });
-    }
-    if let Some(winner) = stats.winner {
-        tracer.event("portfolio.win", || {
-            vec![field("k", stats.k), field("config", winner)]
-        });
-    }
-}
-
-/// One probe engine for the whole search: fresh per-probe solvers
-/// (with optional speculation) or the persistent incremental solver.
-enum Prober<'a> {
-    Fresh(Scheduler<'a>),
-    Incremental {
-        // Boxed: the live encoding (solver included) dwarfs the fresh
-        // scheduler.
-        inc: Box<IncrementalEncoding<'a>>,
-        probes: Vec<ProbeStats>,
-    },
-}
-
-impl<'a> Prober<'a> {
-    /// Probes `primary`; the speculation hints only apply to the fresh
-    /// engine (the incremental solver is strictly serial).
-    fn probe(
-        &mut self,
-        primary: u32,
-        speculative: &[(u32, Keep)],
-        tracer: &Tracer,
-    ) -> Result<ProbeRun, SearchError> {
-        match self {
-            Prober::Fresh(sched) => sched.probe(primary, speculative, tracer),
-            Prober::Incremental { inc, probes } => {
-                let p = inc.probe_traced(primary, tracer);
-                if p.interrupted {
-                    return Err(SearchError::cancelled());
-                }
-                let stats = ProbeStats {
-                    k: primary,
-                    vars: p.vars,
-                    clauses: p.clauses,
-                    satisfiable: p.satisfiable,
-                    solve_ms: p.solve_ms,
-                    encode_ms: p.encode_ms,
-                    solver: Some(p.stats),
-                    winner: None,
-                };
-                probes.push(stats);
-                emit_probe_trace(tracer, &stats);
-                Ok(ProbeRun {
-                    stats,
-                    launches: None,
-                    cnf: None,
-                    lanes: Vec::new(),
-                })
-            }
-        }
-    }
-
-    fn probes(&self) -> &[ProbeStats] {
-        match self {
-            Prober::Fresh(sched) => &sched.probes,
-            Prober::Incremental { probes, .. } => probes,
-        }
-    }
-
-    fn into_probes(self) -> Vec<ProbeStats> {
-        match self {
-            Prober::Fresh(sched) => sched.probes,
-            Prober::Incremental { probes, .. } => probes,
-        }
-    }
 }
 
 /// The next budget of the geometric ascent: doubles, saturating at the
@@ -828,8 +431,7 @@ pub fn search(
 
 /// [`search`] with structured tracing: ascent/binary/decode spans, one
 /// retrospective `probe` span (with `encode`/`solve` children) plus a
-/// `sat.probe` event per consumed probe, all emitted in serial search
-/// order regardless of speculation.
+/// `sat.probe` event per probe, in search order.
 pub fn search_traced(
     gma: &Gma,
     matched: &Matched,
@@ -859,42 +461,32 @@ pub fn search_traced(
         });
     }
 
-    let ctx = ProbeCtx {
-        matched,
-        candidates,
-        machine,
-        options,
-        solver: params.solver,
-        portfolio: params.portfolio,
-    };
-    let use_incremental = params.incremental
+    let incremental = (params.incremental
         && params.solver == SolverChoice::Cdcl
-        && params.dump.is_none()
-        && params.portfolio < 2
-        && denali_par::resolve_threads(params.threads) == 1;
-    let mut prober = if use_incremental {
+        && params.dump.is_none())
+    .then(|| {
         let mut inc = Box::new(IncrementalEncoding::new(
             matched, candidates, machine, options,
         ));
         if let Some(token) = &params.cancel {
             inc.set_interrupt(token.handle());
         }
-        Prober::Incremental {
-            inc,
-            probes: Vec::new(),
-        }
-    } else {
-        Prober::Fresh(Scheduler::new(
-            ctx,
-            params.threads,
-            params.dump.as_ref(),
-            params.cancel.as_ref(),
-        ))
+        inc
+    });
+    let mut prober = Prober {
+        matched,
+        candidates,
+        machine,
+        options,
+        solver: params.solver,
+        incremental,
+        dump: params.dump.as_ref(),
+        cancel: params.cancel.as_ref(),
+        probes: Vec::new(),
     };
     let max_cycles = params.max_cycles;
 
-    // Geometric ascent to the first satisfiable budget; the partner
-    // probe 2K is only needed if K is UNSAT.
+    // Geometric ascent to the first satisfiable budget.
     let ascent = tracer.span("search.ascent");
     let mut k = 1u32;
     let mut max_unsat = 0u32;
@@ -909,12 +501,7 @@ pub fn search_traced(
             )));
         }
         let next = next_budget(k, max_cycles);
-        let speculative: &[(u32, Keep)] = if next != k {
-            &[(next, Keep::IfUnsat)]
-        } else {
-            &[]
-        };
-        let run = prober.probe(k, speculative, tracer)?;
+        let run = prober.probe(k, tracer)?;
         if run.stats.satisfiable {
             best = run;
             break;
@@ -933,8 +520,7 @@ pub fn search_traced(
         field("max_unsat", max_unsat),
     ]);
 
-    // Binary search in (max_unsat, best_k); the partners of each
-    // midpoint are the two possible next midpoints.
+    // Binary search in (max_unsat, best_k).
     let binary = tracer.span_fields(
         "search.binary",
         vec![field("lo", max_unsat), field("hi", best_k)],
@@ -946,16 +532,7 @@ pub fn search_traced(
             return Err(SearchError::cancelled());
         }
         let mid = max_unsat + (best_k - max_unsat) / 2;
-        let mut speculative = Vec::new();
-        let if_sat = max_unsat + (mid - max_unsat) / 2;
-        if if_sat > max_unsat {
-            speculative.push((if_sat, Keep::IfSat));
-        }
-        let if_unsat = mid + (best_k - mid) / 2;
-        if if_unsat > mid {
-            speculative.push((if_unsat, Keep::IfUnsat));
-        }
-        let run = prober.probe(mid, &speculative, tracer)?;
+        let run = prober.probe(mid, tracer)?;
         if run.stats.satisfiable {
             best = run;
             best_k = mid;
@@ -970,7 +547,7 @@ pub fn search_traced(
     // the zero-launch case was handled above).
     let refuted_below = best_k == 1
         || prober
-            .probes()
+            .probes
             .iter()
             .any(|p| p.k + 1 == best_k && !p.satisfiable);
 
@@ -1002,7 +579,7 @@ pub fn search_traced(
         program,
         cycles: best_k,
         refuted_below,
-        probes: prober.into_probes(),
+        probes: prober.probes,
     })
 }
 

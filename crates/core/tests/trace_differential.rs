@@ -20,18 +20,14 @@ use denali_trace::{jsonl, normalized, Record};
 const FIGURE2: &str = "(\\procdecl f ((reg6 long)) long (:= (\\res (+ (* reg6 4) 1))))";
 /// mulq latency 7 then an add: 8 cycles, so the search runs a full
 /// geometric ascent (1, 2, 4, 8) plus binary refinement — several
-/// probes, speculation opportunities, and incremental horizon growth.
+/// probes and incremental horizon growth.
 const MULTI_PROBE: &str = "(\\procdecl f ((a long)) long (:= (\\res (+ (* a a) 1))))";
 
 fn pinned(threads: usize, incremental: bool, trace: bool) -> Options {
-    // `portfolio` is pinned off: which lane wins a portfolio race is
-    // race-dependent, and its per-lane `sat.probe` / `portfolio.win`
-    // events are documented as excluded from trace determinism.
     let mut options = Options {
         threads,
         incremental,
         trace,
-        portfolio: 0,
         ..Options::default()
     };
     options.saturation.threads = 1;
@@ -93,14 +89,18 @@ fn trace_is_identical_across_runs() {
 
 #[test]
 fn trace_is_identical_across_thread_counts() {
-    // Incremental probing only engages serially and reports cumulative
-    // formula sizes, so it is pinned off for the cross-thread diff.
-    let run = |threads: usize| -> Vec<Record> {
-        let denali = Denali::new(pinned(threads, false, true));
-        denali.compile_source(MULTI_PROBE).unwrap();
-        normalized(&denali.tracer().records())
-    };
-    assert_eq!(run(1), run(4), "thread count leaked into the trace");
+    for incremental in [true, false] {
+        let run = |threads: usize| -> Vec<Record> {
+            let denali = Denali::new(pinned(threads, incremental, true));
+            denali.compile_source(MULTI_PROBE).unwrap();
+            normalized(&denali.tracer().records())
+        };
+        assert_eq!(
+            run(1),
+            run(4),
+            "thread count leaked into the trace (incremental={incremental})"
+        );
+    }
 }
 
 #[test]

@@ -2,18 +2,13 @@
 
 //! Deterministic scoped fork-join helpers.
 //!
-//! Denali's two compute-heavy phases both have a natural read-only
-//! fan-out shape:
+//! Denali's matching phase has a natural read-only fan-out shape:
+//! every axiom is e-matched against a frozen e-graph, and the collected
+//! instances are then applied serially. The e-graph is only *read*
+//! during matching, so axioms can match on any number of threads as
+//! long as results are recombined in axiom order.
 //!
-//! - **Matching** — every axiom is e-matched against a frozen e-graph;
-//!   the collected instances are then applied serially. The e-graph is
-//!   only *read* during matching, so axioms can match on any number of
-//!   threads as long as results are recombined in axiom order.
-//! - **Search** — each SAT probe owns its CNF and solver, so several
-//!   cycle budgets can be probed concurrently and losing probes
-//!   cancelled.
-//!
-//! Both uses demand *determinism*: the caller must observe results that
+//! That demands *determinism*: the caller must observe results that
 //! are byte-identical to the serial execution regardless of thread
 //! count. [`map_indexed`] guarantees this by assigning work items to
 //! threads dynamically but returning results in input order. The
@@ -107,12 +102,12 @@ pub fn chunk_ranges(len: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// A shared cancellation flag for speculative work.
+/// A shared cancellation flag for work that may become moot.
 ///
-/// The probe scheduler hands one of these to every speculative SAT
-/// probe; when the probe's outcome becomes irrelevant (the budget it
-/// tests is off the winning search path) the scheduler raises the flag
-/// and the solver abandons the problem at its next checkpoint.
+/// Request deadlines and server shutdown raise one of these; the
+/// pipeline checks it at phase boundaries, and the SAT solver polls its
+/// [`CancelToken::handle`] so a raised flag abandons the current probe at
+/// the solver's next checkpoint.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,

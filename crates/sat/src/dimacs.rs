@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::lit::Lit;
-use crate::solver::{Solver, SolverConfig};
+use crate::solver::Solver;
 
 /// A CNF formula in clausal form.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
@@ -28,13 +28,7 @@ impl Cnf {
 
     /// Loads this formula into a fresh [`Solver`].
     pub fn to_solver(&self) -> Solver {
-        self.to_solver_with(SolverConfig::default())
-    }
-
-    /// Loads this formula into a fresh [`Solver`] using the given
-    /// strategy configuration (one lane of a portfolio race).
-    pub fn to_solver_with(&self, config: SolverConfig) -> Solver {
-        let mut solver = Solver::with_config(config);
+        let mut solver = Solver::new();
         solver.reserve_vars(self.num_vars);
         for c in &self.clauses {
             solver.add_clause(c.iter().copied());

@@ -41,8 +41,8 @@ pub fn solve(num_vars: usize, clauses: &[Vec<Lit>]) -> DpllResult {
 
 /// As [`solve`], but checks `interrupt` every 1024 clause evaluations
 /// (the same checkpoint cadence as the CDCL solver) and returns
-/// [`DpllResult::Interrupted`] once the flag is raised — so a losing
-/// speculative probe stops promptly instead of running to completion.
+/// [`DpllResult::Interrupted`] once the flag is raised — so a probe
+/// past its deadline stops promptly instead of running to completion.
 ///
 /// # Panics
 ///

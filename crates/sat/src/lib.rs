@@ -38,4 +38,4 @@ mod solver;
 
 pub use backend::{DpllSolver, SolverBackend};
 pub use lit::{Lit, Var};
-pub use solver::{SolveResult, Solver, SolverConfig, SolverStats};
+pub use solver::{SolveResult, Solver, SolverStats};

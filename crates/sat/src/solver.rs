@@ -65,96 +65,15 @@ impl SolverStats {
     }
 }
 
-/// Search-strategy knobs for the CDCL engine.
-///
-/// The default configuration reproduces the solver's historical
-/// behaviour exactly; the portfolio prober races several
-/// [`SolverConfig::diversified`] variants of the same formula and
-/// consumes whichever verdict lands first.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SolverConfig {
-    /// Multiplier applied to the Luby sequence to produce the restart
-    /// limit (in conflicts). The classic MiniSat-style base is 100.
-    pub restart_mult: u64,
-    /// Initial saved polarity for fresh variables: branch `true` first
-    /// instead of the default `false`.
-    pub init_polarity: bool,
-    /// Whether backtracking saves the erased assignment as the next
-    /// branching polarity (phase saving). Off means variables always
-    /// branch on their initial polarity.
-    pub phase_saving: bool,
-    /// VSIDS decay factor: each conflict divides the activity increment
-    /// by this, so smaller values focus harder on recent conflicts.
-    pub var_decay: f64,
-}
-
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            restart_mult: 100,
-            init_polarity: false,
-            phase_saving: true,
-            var_decay: 0.95,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The `i`-th portfolio configuration. Deterministic in `i`, and
-    /// `diversified(0)` is exactly the default configuration, so config
-    /// 0 of a portfolio race behaves byte-for-byte like a non-portfolio
-    /// solve. Indices past the base palette keep diverging via the
-    /// restart multiplier, so any portfolio width yields distinct
-    /// strategies.
-    #[must_use]
-    pub fn diversified(i: usize) -> SolverConfig {
-        let base = SolverConfig::default();
-        let cfg = match i % 4 {
-            // Aggressive decay with inverted initial phase.
-            1 => SolverConfig {
-                init_polarity: true,
-                var_decay: 0.90,
-                ..base
-            },
-            // Rapid restarts without phase memory: closest to a
-            // randomized-restart strategy while staying deterministic.
-            2 => SolverConfig {
-                restart_mult: 40,
-                phase_saving: false,
-                ..base
-            },
-            // Slow restarts, heavy recency focus, inverted phase.
-            3 => SolverConfig {
-                restart_mult: 300,
-                init_polarity: true,
-                var_decay: 0.85,
-                ..base
-            },
-            _ => base,
-        };
-        SolverConfig {
-            restart_mult: cfg.restart_mult + (i as u64 / 4) * 50,
-            ..cfg
-        }
-    }
-}
-
-impl std::fmt::Display for SolverConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "restart={} phase={}{} decay={}",
-            self.restart_mult,
-            if self.init_polarity { "+" } else { "-" },
-            if self.phase_saving {
-                "/saved"
-            } else {
-                "/fixed"
-            },
-            self.var_decay,
-        )
-    }
-}
+/// Restart limits are the Luby sequence times this many conflicts (the
+/// classic MiniSat-style base).
+const RESTART_MULT: u64 = 100;
+/// The branching polarity a fresh variable starts with.
+const INIT_POLARITY: bool = false;
+/// VSIDS decay factor: each conflict divides the activity increment by
+/// this. Backtracking always saves the erased assignment as the next
+/// branching polarity (phase saving).
+const VAR_DECAY: f64 = 0.95;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Assign {
@@ -195,7 +114,7 @@ struct Watcher {
 /// A conflict-driven clause-learning SAT solver.
 ///
 /// See the [crate docs](crate) for an example.
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Debug)]
 pub struct Solver {
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watcher>>,
@@ -220,32 +139,41 @@ pub struct Solver {
     failed_assumptions: Vec<Lit>,
     stats: SolverStats,
     reduce_threshold: usize,
-    /// Raised by another thread to abandon an in-flight solve (used by
-    /// the speculative probe scheduler to cancel losing probes).
+    /// Raised by another thread to abandon an in-flight solve (a
+    /// deadline or shutdown cancelling the search).
     interrupt: Option<Arc<AtomicBool>>,
-    config: SolverConfig,
+}
+
+impl Default for Solver {
+    fn default() -> Solver {
+        Solver::new()
+    }
 }
 
 impl Solver {
-    /// Creates an empty solver with the default [`SolverConfig`].
+    /// Creates an empty solver.
     pub fn new() -> Solver {
-        Solver::with_config(SolverConfig::default())
-    }
-
-    /// Creates an empty solver with the given strategy configuration.
-    pub fn with_config(config: SolverConfig) -> Solver {
         Solver {
+            clauses: Vec::new(),
+            watches: Vec::new(),
+            assigns: Vec::new(),
+            polarity: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            qhead: 0,
+            activity: Vec::new(),
             var_inc: 1.0,
+            order: VarHeap::default(),
+            seen: Vec::new(),
             ok: true,
+            model: None,
+            failed_assumptions: Vec::new(),
+            stats: SolverStats::default(),
             reduce_threshold: 4000,
-            config,
-            ..Solver::default()
+            interrupt: None,
         }
-    }
-
-    /// The strategy configuration this solver was created with.
-    pub fn config(&self) -> SolverConfig {
-        self.config
     }
 
     /// Number of variables created so far.
@@ -263,7 +191,7 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let var = Var::from_index(self.assigns.len());
         self.assigns.push(Assign::Undef);
-        self.polarity.push(self.config.init_polarity);
+        self.polarity.push(INIT_POLARITY);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -587,9 +515,7 @@ impl Solver {
         for &lit in &self.trail[new_len..] {
             let v = lit.var();
             self.assigns[v.index()] = Assign::Undef;
-            if self.config.phase_saving {
-                self.polarity[v.index()] = lit.is_pos();
-            }
+            self.polarity[v.index()] = lit.is_pos();
             self.reason[v.index()] = NO_REASON;
             if !self.order.contains(v) {
                 self.order.insert(v, &self.activity);
@@ -725,13 +651,13 @@ impl Solver {
         // restarting on the queries where restarts matter most.
         let mut conflicts_since_restart = 0u64;
         let mut restarts_this_call = 0u64;
-        let mut restart_limit = luby(restarts_this_call + 1) * self.config.restart_mult;
+        let mut restart_limit = luby(restarts_this_call + 1) * RESTART_MULT;
         let mut since_interrupt_check = 0u32;
 
         loop {
             // Cancellation checkpoint: cheap enough to amortize (one
             // relaxed atomic load every 1024 steps), frequent enough that
-            // a cancelled speculative probe stops promptly.
+            // a deadline stops the solve promptly.
             since_interrupt_check += 1;
             if since_interrupt_check >= 1024 {
                 since_interrupt_check = 0;
@@ -766,7 +692,7 @@ impl Solver {
                         self.stats.restarts += 1;
                         restarts_this_call += 1;
                         conflicts_since_restart = 0;
-                        restart_limit = luby(restarts_this_call + 1) * self.config.restart_mult;
+                        restart_limit = luby(restarts_this_call + 1) * RESTART_MULT;
                         self.backtrack_to(0);
                         continue;
                     }
@@ -870,7 +796,7 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     /// The satisfying assignment found by the last successful
@@ -1252,52 +1178,22 @@ mod tests {
     }
 
     #[test]
-    fn diversified_zero_is_the_default_config() {
-        assert_eq!(SolverConfig::diversified(0), SolverConfig::default());
-        assert_eq!(Solver::new().config(), SolverConfig::default());
-    }
-
-    #[test]
-    fn diversified_configs_are_distinct() {
-        let configs: Vec<SolverConfig> = (0..8).map(SolverConfig::diversified).collect();
-        for i in 0..configs.len() {
-            for j in (i + 1)..configs.len() {
-                assert_ne!(configs[i], configs[j], "configs {i} and {j} collide");
-            }
+    fn default_solver_is_a_working_solver() {
+        // Regression: a derived `Default` built a solver with `ok: false`
+        // and a zero activity increment, which refuted every formula.
+        let mut s = Solver::default();
+        let v = s.new_var();
+        s.add_clause([Lit::pos(v)]);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.model_value(v), Some(true));
+        let (mut s, _) = pigeonhole(4);
+        let mut d = Solver::default();
+        d.reserve_vars(s.num_vars());
+        for c in &s.clauses {
+            d.add_clause(c.lits.iter().copied());
         }
-    }
-
-    #[test]
-    fn diversified_configs_agree_on_verdicts() {
-        for i in 0..6 {
-            let cfg = SolverConfig::diversified(i);
-            // PHP(4) is UNSAT under every strategy...
-            let holes = 4;
-            let mut s = Solver::with_config(cfg);
-            let vars: Vec<Vec<Var>> = (0..holes + 1)
-                .map(|_| (0..holes).map(|_| s.new_var()).collect())
-                .collect();
-            for row in &vars {
-                s.add_clause(row.iter().map(|&v| Lit::pos(v)));
-            }
-            for h in 0..holes {
-                for p1 in 0..holes + 1 {
-                    for p2 in (p1 + 1)..holes + 1 {
-                        s.add_clause([Lit::neg(vars[p1][h]), Lit::neg(vars[p2][h])]);
-                    }
-                }
-            }
-            assert_eq!(s.solve(), SolveResult::Unsat, "config {i} ({cfg})");
-            // ...and a satisfiable chain is SAT with a valid model.
-            let mut s = Solver::with_config(cfg);
-            let v = lits(&mut s, 4);
-            s.add_clause([Lit::pos(v[0])]);
-            for k in 0..3 {
-                s.add_clause([Lit::neg(v[k]), Lit::pos(v[k + 1])]);
-            }
-            assert_eq!(s.solve(), SolveResult::Sat, "config {i} ({cfg})");
-            assert!(s.model().unwrap().iter().all(|&b| b));
-        }
+        assert_eq!(d.solve(), s.solve());
+        assert_eq!(d.stats(), s.stats(), "default and new solve identically");
     }
 
     #[test]

@@ -2,23 +2,17 @@
 //!
 //! Every scenario runs against both engines — the CDCL [`Solver`] and
 //! the DPLL adapter — through the trait object interface, so the search
-//! layer can treat backends as interchangeable. Portfolio lanes are
-//! covered too: each diversified CDCL configuration must satisfy the
-//! same contract.
+//! layer can treat backends as interchangeable.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use denali_sat::{DpllSolver, Lit, SolveResult, Solver, SolverBackend, SolverConfig, Var};
+use denali_sat::{DpllSolver, Lit, SolveResult, Solver, SolverBackend, Var};
 
 /// Runs `scenario` against every backend implementation.
 fn for_each_backend(mut scenario: impl FnMut(&mut dyn SolverBackend, &str)) {
     scenario(&mut Solver::new(), "cdcl");
     scenario(&mut DpllSolver::new(), "dpll");
-    for i in 1..4 {
-        let cfg = SolverConfig::diversified(i);
-        scenario(&mut Solver::with_config(cfg), &format!("cdcl[{cfg}]"));
-    }
 }
 
 fn vars(s: &mut dyn SolverBackend, n: usize) -> Vec<Var> {

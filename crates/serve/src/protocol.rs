@@ -102,10 +102,6 @@ pub struct OptionOverrides {
     pub pipeline_loads: Option<bool>,
     /// Worker threads (execution knob; not fingerprinted).
     pub threads: Option<usize>,
-    /// Portfolio width: race this many diversified CDCL configurations
-    /// per probe (execution knob; not fingerprinted — output is
-    /// byte-identical at any width).
-    pub portfolio: Option<usize>,
     /// Structured tracing (observability knob; not fingerprinted).
     pub trace: Option<bool>,
     /// Verbose server logging (observability knob; not fingerprinted).
@@ -142,9 +138,6 @@ impl OptionOverrides {
         }
         if let Some(t) = self.threads {
             options.threads = t;
-        }
-        if let Some(p) = self.portfolio {
-            options.portfolio = p;
         }
         if let Some(t) = self.trace {
             options.trace = t;
@@ -280,7 +273,6 @@ fn parse_overrides(obj: &Json) -> Result<OptionOverrides, ProtocolError> {
             "miss_latency",
             "pipeline_loads",
             "threads",
-            "portfolio",
             "trace",
             "verbose",
         ],
@@ -324,7 +316,6 @@ fn parse_overrides(obj: &Json) -> Result<OptionOverrides, ProtocolError> {
             .transpose()?,
         pipeline_loads: get_bool(obj, "pipeline_loads")?,
         threads: get_u64(obj, "threads")?.map(|v| v as usize),
-        portfolio: get_u64(obj, "portfolio")?.map(|v| v as usize),
         trace: get_bool(obj, "trace")?,
         verbose: get_bool(obj, "verbose")?,
     })
@@ -514,6 +505,10 @@ mod tests {
         let err = parse_request(r#"{"type":"compile","source":"x","options":{"max_cycle":3}}"#)
             .unwrap_err();
         assert!(err.message.contains("max_cycle"), "{err}");
+        // A removed option is an unknown key like any other.
+        let err = parse_request(r#"{"type":"compile","source":"x","options":{"portfolio":2}}"#)
+            .unwrap_err();
+        assert!(err.message.contains("portfolio"), "{err}");
     }
 
     #[test]

@@ -74,9 +74,6 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Disk-tier cache directory (persists across restarts).
     pub cache_dir: Option<PathBuf>,
-    /// Single-flight coalescing of concurrent identical requests
-    /// (default on; `--no-coalesce` turns it off for A/B runs).
-    pub coalesce: bool,
     /// Log one line per request to stderr.
     pub verbose: bool,
     /// Flight-recorder ring capacity (finished-request summaries).
@@ -100,7 +97,6 @@ impl Default for ServerConfig {
             queue: 64,
             cache_bytes: 64 << 20,
             cache_dir: None,
-            coalesce: true,
             verbose: false,
             flight_capacity: 256,
             slow_ms: None,
@@ -422,14 +418,6 @@ impl Server {
         let issue_width = denali.options().machine.issue_width();
         let (outcome, body) = match denali.compile_prepared(&ctx.prepared) {
             Ok(result) => {
-                for stats in result.gmas.iter().flat_map(|c| &c.probes) {
-                    if let Some(winner) = stats.winner {
-                        Stats::bump(&self.stats.portfolio_races);
-                        if winner != 0 {
-                            Stats::bump(&self.stats.portfolio_alt_wins);
-                        }
-                    }
-                }
                 for mem in result.gmas.iter().map(|c| c.egraph_memory) {
                     self.stats
                         .egraph_nodes
@@ -905,54 +893,12 @@ fn dispatch<W: Write + Send + 'static>(
                     return;
                 }
             };
-            if server.config.coalesce {
-                match server.coalescer.join(&ctx.fingerprint) {
-                    Join::Leader(guard) => {
-                        submit_leader(server, pool, guard, req, ctx, admitted, out);
-                    }
-                    Join::Follower(handle) => {
-                        spawn_follower(server, handle, req, ctx, admitted, out);
-                    }
+            match server.coalescer.join(&ctx.fingerprint) {
+                Join::Leader(guard) => {
+                    submit_leader(server, pool, guard, req, ctx, admitted, out);
                 }
-            } else {
-                let id = req.id.clone();
-                let server2 = Arc::clone(server);
-                let out2 = Arc::clone(out);
-                let submitted = pool.try_submit(move || {
-                    server2.metrics.stage_queue.observe(us(admitted.elapsed()));
-                    let line = if let Some(body) = server2.timed_cache_get(&ctx.fingerprint) {
-                        Stats::bump(&server2.stats.compiles_ok);
-                        server2.finish(&req.id, admitted, "hit", false, None, &body)
-                    } else {
-                        let (outcome, body, trace) =
-                            server2.execute(&req.id, &ctx, req.deadline_ms, admitted);
-                        server2.finish(&req.id, admitted, outcome, false, trace, &body)
-                    };
-                    write_line(&out2, &line);
-                });
-                if let Err(e) = submitted {
-                    let (counter, stage, message, retryable) = match e {
-                        SubmitError::Full => (
-                            &server.stats.overload_rejections,
-                            "overload",
-                            "admission queue is full; retry later",
-                            true,
-                        ),
-                        SubmitError::Closed => (
-                            &server.stats.shutdown_rejections,
-                            "shutting_down",
-                            "server is shutting down; do not retry",
-                            false,
-                        ),
-                    };
-                    Stats::bump(counter);
-                    write_line(
-                        out,
-                        &protocol::render_response(
-                            &id,
-                            &protocol::render_error_body(stage, message, retryable),
-                        ),
-                    );
+                Join::Follower(handle) => {
+                    spawn_follower(server, handle, req, ctx, admitted, out);
                 }
             }
         }

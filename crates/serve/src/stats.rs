@@ -44,12 +44,6 @@ pub struct Stats {
     /// Compile jobs that panicked (the worker survives; the request is
     /// answered with an internal error).
     pub worker_panics: AtomicU64,
-    /// Portfolio probe races completed (probes that ran diversified
-    /// CDCL lanes instead of a single solver).
-    pub portfolio_races: AtomicU64,
-    /// Portfolio races won by a non-default lane (configuration index
-    /// greater than zero).
-    pub portfolio_alt_wins: AtomicU64,
     /// E-graph arena nodes saturated across all executions (cumulative
     /// over the GMAs of every non-cached compile).
     pub egraph_nodes: AtomicU64,
@@ -84,8 +78,6 @@ impl Default for Stats {
             coalesced_expired: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
-            portfolio_races: AtomicU64::new(0),
-            portfolio_alt_wins: AtomicU64::new(0),
             egraph_nodes: AtomicU64::new(0),
             egraph_bytes: AtomicU64::new(0),
             stoke_harvests: AtomicU64::new(0),
@@ -109,9 +101,9 @@ impl Stats {
     ///
     /// Schema v2 = v1 plus the `schema` tag and the `latency` section;
     /// v3 = v2 plus the `stoke` section (anytime harvests and
-    /// stochastic-engine compiles) — each bump strictly additive, so
-    /// older consumers keep working (the migration notes are in
-    /// `docs/SERVER.md`).
+    /// stochastic-engine compiles), both strictly additive; v4 = v3
+    /// minus the `portfolio` section (SAT probes are no longer raced).
+    /// The migration notes are in `docs/SERVER.md`.
     pub fn render_body(
         &self,
         queue_depth: u64,
@@ -123,7 +115,7 @@ impl Stats {
         format!(
             concat!(
                 "\"status\":\"ok\",",
-                "\"schema\":\"denali-serve-stats-v3\",",
+                "\"schema\":\"denali-serve-stats-v4\",",
                 "\"uptime_ms\":{},",
                 "\"requests\":{},",
                 "\"compiles\":{{\"ok\":{},\"degraded\":{},\"error\":{}}},",
@@ -133,7 +125,6 @@ impl Stats {
                 "\"shutdown_rejections\":{},",
                 "\"worker_panics\":{},",
                 "\"queue_depth\":{},",
-                "\"portfolio\":{{\"races\":{},\"alt_wins\":{}}},",
                 "\"stoke\":{{\"harvests\":{},\"compiles\":{}}},",
                 "\"egraph\":{{\"nodes\":{},\"bytes\":{},\"bytes_per_node\":{}}},",
                 "\"coalesce\":{{\"coalesced\":{},\"expired\":{},\"promotions\":{},",
@@ -153,8 +144,6 @@ impl Stats {
             load(&self.shutdown_rejections),
             load(&self.worker_panics),
             queue_depth,
-            load(&self.portfolio_races),
-            load(&self.portfolio_alt_wins),
             load(&self.stoke_harvests),
             load(&self.stoke_compiles),
             load(&self.egraph_nodes),
@@ -192,9 +181,6 @@ mod tests {
         Stats::bump(&stats.requests);
         Stats::bump(&stats.compiles_ok);
         Stats::bump(&stats.coalesced);
-        Stats::bump(&stats.portfolio_races);
-        Stats::bump(&stats.portfolio_races);
-        Stats::bump(&stats.portfolio_alt_wins);
         Stats::bump(&stats.stoke_harvests);
         stats.egraph_nodes.fetch_add(10, Ordering::Relaxed);
         stats.egraph_bytes.fetch_add(720, Ordering::Relaxed);
@@ -219,7 +205,7 @@ mod tests {
         let v = json::parse(&line).unwrap();
         assert_eq!(
             v.get("schema").and_then(Json::as_str),
-            Some("denali-serve-stats-v3")
+            Some("denali-serve-stats-v4")
         );
         assert!(
             v.get("latency").and_then(|l| l.get("stages")).is_some(),
@@ -231,9 +217,10 @@ mod tests {
         assert_eq!(v.get("requests").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("queue_depth").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("worker_panics").and_then(Json::as_u64), Some(0));
-        let portfolio = v.get("portfolio").unwrap();
-        assert_eq!(portfolio.get("races").and_then(Json::as_u64), Some(2));
-        assert_eq!(portfolio.get("alt_wins").and_then(Json::as_u64), Some(1));
+        assert!(
+            v.get("portfolio").is_none(),
+            "v4 drops the portfolio section"
+        );
         let egraph = v.get("egraph").unwrap();
         assert_eq!(egraph.get("nodes").and_then(Json::as_u64), Some(10));
         assert_eq!(egraph.get("bytes").and_then(Json::as_u64), Some(720));

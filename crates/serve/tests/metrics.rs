@@ -64,9 +64,9 @@ fn stage_histograms_sum_consistently_with_the_stats_counters() {
     let v = json::parse(&stats).unwrap();
     assert_eq!(
         v.get("schema").and_then(Json::as_str),
-        Some("denali-serve-stats-v3")
+        Some("denali-serve-stats-v4")
     );
-    let latency = v.get("latency").expect("v3 stats carry latency");
+    let latency = v.get("latency").expect("v4 stats carry latency");
 
     // Every compile response got exactly one total-latency observation,
     // and the outcome histograms partition it (coalesced is recorded in

@@ -367,44 +367,3 @@ fn tcp_stampede_executes_the_pipeline_exactly_once() {
     assert_eq!(stat(&s, &["cache", "misses"]), 1);
     assert_eq!(stat(&s, &["compiles", "ok"]), 64);
 }
-
-/// `--no-coalesce` keeps the old behavior: duplicates queue like any
-/// other request and dedup only through the cache.
-#[test]
-fn coalescing_can_be_disabled() {
-    let mut base = fast_options();
-    base.trace = false;
-    let server = Arc::new(
-        Server::new(ServerConfig {
-            base,
-            coalesce: false,
-            ..ServerConfig::default()
-        })
-        .unwrap(),
-    );
-    let pool = Pool::new(1, 4);
-    let gate = Arc::new(Mutex::new(()));
-    let hold = gate.lock().unwrap();
-    let g = Arc::clone(&gate);
-    pool.try_submit(move || drop(g.lock().unwrap())).unwrap();
-    while pool.depth() > 0 {
-        std::thread::yield_now();
-    }
-
-    let input = format!("{}\n{}\n", compile_line("a", ""), compile_line("b", ""));
-    let out = Arc::new(Mutex::new(Vec::<u8>::new()));
-    serve_lines(&server, &pool, input.as_bytes(), &out).unwrap();
-    // Both duplicates consumed queue slots — no coalescing.
-    assert_eq!(pool.depth(), 2);
-    drop(hold);
-    drop(pool);
-
-    let written = String::from_utf8(out.lock().unwrap().clone()).unwrap();
-    assert_eq!(written.lines().count(), 2);
-    let s = stats(&server);
-    assert_eq!(stat(&s, &["coalesce", "coalesced"]), 0);
-    // The second compile ran after the first and dedup'd via the cache.
-    assert_eq!(stat(&s, &["executions"]), 1);
-    assert_eq!(stat(&s, &["cache", "hits"]), 1);
-    assert_eq!(stat(&s, &["cache", "misses"]), 1);
-}

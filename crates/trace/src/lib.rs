@@ -10,10 +10,8 @@
 //! * **Hierarchical spans** — [`Tracer::span`] records an enter/exit
 //!   pair with monotonic timestamps and a parent link (the enclosing
 //!   span at enter time). [`Tracer::complete_span`] records a span
-//!   retrospectively from a measured duration, which is how work that
-//!   ran speculatively on another thread is logged at the moment the
-//!   serial control flow *consumes* it — keeping the record stream
-//!   identical at every thread count.
+//!   retrospectively from a measured duration, which is how a SAT probe
+//!   is logged once its encode and solve times are known.
 //! * **Typed events** — [`Tracer::event`] records a named point-in-time
 //!   fact carrying key/value [`Field`]s (SAT probe outcomes, per-axiom
 //!   match counts, e-graph growth).

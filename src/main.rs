@@ -3,8 +3,7 @@
 //! ```text
 //! denali FILE.dnl [--proc NAME] [--machine ev6|ev6-unclustered|single-issue|ia64like]
 //!                 [--solver cdcl|dpll] [--engine sat|stochastic|auto]
-//!                 [--threads N] [--portfolio N] [--load-latency N]
-//!                 [--max-cycles N] [--incremental|--no-incremental]
+//!                 [--threads N] [--load-latency N] [--max-cycles N]
 //!                 [--delta-match|--no-delta-match]
 //!                 [--probes] [-v|--verbose] [--trace] [--trace-out FILE]
 //!                 [--trace-format jsonl|chrome] [--dump-dimacs DIR]
@@ -14,8 +13,7 @@
 //! denali serve (--stdio | --listen ADDR) [--workers N] [--queue N]
 //!              [--cache-bytes N] [--cache-dir DIR] [--machine M] [--solver S]
 //!              [--engine sat|stochastic|auto]
-//!              [--max-cycles N] [--threads N] [--portfolio N]
-//!              [--coalesce|--no-coalesce] [--trace] [-v|--verbose]
+//!              [--max-cycles N] [--threads N] [--trace] [-v|--verbose]
 //!              [--metrics-addr ADDR] [--slow-ms T --spool-dir DIR]
 //!              [--trace-sample N] [--flight-capacity N]
 //! ```
@@ -56,8 +54,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: denali FILE.dnl [--proc NAME] [--machine ev6|ev6-unclustered|single-issue|ia64like]\n\
          \x20                   [--solver cdcl|dpll] [--engine sat|stochastic|auto]\n\
-         \x20                   [--threads N] [--portfolio N] [--load-latency N]\n\
-         \x20                   [--max-cycles N] [--incremental|--no-incremental]\n\
+         \x20                   [--threads N] [--load-latency N] [--max-cycles N]\n\
          \x20                   [--delta-match|--no-delta-match]\n\
          \x20                   [--probes] [-v|--verbose] [--trace] [--trace-out FILE]\n\
          \x20                   [--trace-format jsonl|chrome] [--allocate] [--dump-dimacs DIR]\n\
@@ -67,17 +64,13 @@ fn usage() -> ! {
          \x20      denali serve (--stdio | --listen ADDR) [--workers N] [--queue N]\n\
          \x20                   [--cache-bytes N] [--cache-dir DIR] [--machine M] [--solver S]\n\
          \x20                   [--engine sat|stochastic|auto] [--max-cycles N]\n\
-         \x20                   [--threads N] [--portfolio N]\n\
-         \x20                   [--coalesce|--no-coalesce] [--trace] [-v|--verbose]\n\
+         \x20                   [--threads N] [--trace] [-v|--verbose]\n\
          \x20                   [--metrics-addr ADDR] [--slow-ms T --spool-dir DIR]\n\
          \x20                   [--trace-sample N] [--flight-capacity N]\n\
          \x20 --engine E        optimizer engine: sat (goal-directed search, default), stochastic\n\
          \x20                   (MCMC over instruction sketches), or auto (SAT with stochastic\n\
          \x20                   fallback + anytime candidates under deadlines; also DENALI_ENGINE)\n\
-         \x20 --threads N       worker threads for matching + speculative probes (0 = all CPUs, 1 = serial)\n\
-         \x20 --portfolio N     race N diversified CDCL configurations per probe, first verdict wins\n\
-         \x20                   (0/1 = off; output is byte-identical either way; also DENALI_PORTFOLIO)\n\
-         \x20 --no-incremental  fresh SAT solver per probe instead of one persistent solver (serial CDCL)\n\
+         \x20 --threads N       worker threads for e-matching (0 = all CPUs, 1 = serial)\n\
          \x20 --no-delta-match  re-match every axiom against the whole e-graph each saturation round\n\
          \x20 --trace           collect a structured trace (also DENALI_TRACE=1)\n\
          \x20 --trace-out FILE  write the trace to FILE (implies --trace; jsonl unless --trace-format chrome)\n\
@@ -85,8 +78,6 @@ fn usage() -> ! {
          \x20 trace-report      summarize a JSONL trace (phases, axioms, probes, serve requests)\n\
          \x20 metrics-check     validate a saved Prometheus text exposition (a /metrics scrape)\n\
          \x20 serve             run the compilation server (JSONL protocol, docs/SERVER.md)\n\
-         \x20 --no-coalesce     serve: compile concurrent duplicate requests independently\n\
-         \x20                   instead of single-flighting them behind one leader\n\
          \x20 --metrics-addr    serve: expose Prometheus text metrics at http://ADDR/metrics\n\
          \x20 --slow-ms T       serve: spool full traces of requests slower than T ms to\n\
          \x20                   --spool-dir DIR (works even with --trace off)\n\
@@ -164,13 +155,6 @@ fn parse_cli() -> Cli {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--portfolio" => {
-                cli.options.portfolio = need(&mut args, "--portfolio")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--incremental" => cli.options.incremental = true,
-            "--no-incremental" => cli.options.incremental = false,
             "--delta-match" => cli.options.saturation.delta_match = true,
             "--no-delta-match" => cli.options.saturation.delta_match = false,
             "--probes" => cli.show_probes = true,
@@ -354,11 +338,6 @@ fn serve(args: &[String]) -> ExitCode {
                     parse(need(&mut args, "--max-cycles"), "--max-cycles") as u32
             }
             "--threads" => config.base.threads = parse(need(&mut args, "--threads"), "--threads"),
-            "--portfolio" => {
-                config.base.portfolio = parse(need(&mut args, "--portfolio"), "--portfolio")
-            }
-            "--coalesce" => config.coalesce = true,
-            "--no-coalesce" => config.coalesce = false,
             "--trace" => config.base.trace = true,
             "--metrics-addr" => metrics_addr = Some(need(&mut args, "--metrics-addr")),
             "--slow-ms" => {
