@@ -114,7 +114,7 @@ fn env_delta_match() -> bool {
     }
 }
 
-/// Telemetry for one match-apply round.
+/// Counters and timing for one match-apply round.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct RoundStats {
     /// Top-level candidate classes actually e-matched (summed over

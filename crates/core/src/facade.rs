@@ -13,7 +13,6 @@ use crate::encode::EncodeOptions;
 use crate::engine::{env_engine, run_chain, AnytimeSlot, EngineChoice, StokeKnobs};
 use crate::matcher::match_gma_traced;
 use crate::search::{search_traced, ProbeStats, SearchOutcome, SearchParams};
-use crate::telemetry::Telemetry;
 
 pub use crate::search::SolverChoice;
 
@@ -144,10 +143,10 @@ pub struct CompiledGma {
     pub probes: Vec<ProbeStats>,
     /// Wall-clock milliseconds in the matching phase.
     pub match_ms: f64,
-    /// Total wall-clock milliseconds in encoding + solving.
+    /// Total wall-clock milliseconds in encoding + solving (for the
+    /// stochastic engine: in the chain). The full phase split is in the
+    /// trace's `gma` span children (`denali_trace::report::phase_line`).
     pub search_ms: f64,
-    /// Per-phase timings (`match`, `enumerate`, `search`).
-    pub telemetry: Telemetry,
     /// Memory accounting of the saturated e-graph (arena/SoA storage).
     /// Diagnostic only: not part of the fingerprint or the response
     /// payload, but aggregated into the serve `stats` gauges.
@@ -484,13 +483,12 @@ impl Denali {
     /// As [`Denali::compile_source`].
     pub fn compile_gma(&self, gma: Gma, axioms: &[Axiom]) -> Result<CompiledGma, CompileError> {
         self.check_cancelled()?;
-        let mut telemetry = Telemetry::new();
         let tracer = &self.tracer;
-        // One root span per GMA; the phase spans below both produce the
-        // trace hierarchy and feed the coarse Telemetry aggregate (the
-        // same guard measures both, so the two views always agree).
-        // Each phase span is finished *before* `?` propagates its
-        // error, so failed compilations still trace their phases.
+        // One root span per GMA; its phase children are the trace's
+        // phase split (`report::phase_line`), and `match_ms`/`search_ms`
+        // are read off the same guards. Each phase span is finished
+        // *before* `?` propagates its error, so failed compilations
+        // still trace their phases.
         let gma_span = tracer.span_fields("gma", vec![field("name", gma.name.clone())]);
 
         let mut saturation = self.options.saturation;
@@ -499,18 +497,9 @@ impl Denali {
         }
         let span = tracer.span("match");
         let matched = match_gma_traced(&gma, axioms, &saturation, tracer);
-        telemetry.record("match", span.finish());
+        let match_ms = span.finish();
         let matched = matched.map_err(stage_err("match"))?;
-        // One telemetry entry per saturation round; `Display` collapses
-        // the repeats into one `saturate.round ×N` item.
-        for round in &matched.report.rounds {
-            telemetry.record("saturate.round", round.ms);
-        }
         let egraph_memory = matched.egraph.memory_stats();
-        // Delta-matching effectiveness: top-level e-match candidates
-        // actually scanned vs. excluded by the dirty-cone filter.
-        telemetry.count("match.scanned", matched.report.scanned_candidates as u64);
-        telemetry.count("match.skipped", matched.report.skipped_candidates as u64);
         // Phase boundary: a deadline raised during matching stops here
         // rather than entering enumeration (saturation itself is
         // bounded by its budgets, so this check is reached promptly).
@@ -522,7 +511,7 @@ impl Denali {
         // so a deadline-cancelled SAT compile still leaves verified
         // candidates in the anytime slot.
         if self.options.engine == EngineChoice::Stochastic {
-            return self.compile_gma_stochastic(gma, &matched, egraph_memory, telemetry, gma_span);
+            return self.compile_gma_stochastic(gma, &matched, egraph_memory, match_ms, gma_span);
         }
         if self.options.engine == EngineChoice::Auto && self.options.anytime.is_some() {
             if let Ok(baseline) = denali_baseline::rewrite_compile(&gma, &self.options.machine) {
@@ -538,7 +527,7 @@ impl Denali {
                     tracer,
                     self.options.anytime.as_ref(),
                 );
-                telemetry.record("stoke.prepass", span.finish());
+                span.finish();
             }
             self.check_cancelled()?;
         }
@@ -557,7 +546,7 @@ impl Denali {
             Ok(c) => vec![field("candidates", c.list.len())],
             Err(_) => Vec::new(),
         };
-        telemetry.record("enumerate", span.finish_fields(enumerate_fields));
+        span.finish_fields(enumerate_fields);
         let candidates = candidates.map_err(stage_err("enumerate"))?;
 
         let params = SearchParams {
@@ -586,7 +575,7 @@ impl Denali {
             &params,
             tracer,
         );
-        telemetry.record("search", span.finish());
+        let search_ms = span.finish();
         let outcome: SearchOutcome = match outcome {
             Ok(outcome) => outcome,
             Err(e) if e.cancelled => {
@@ -610,7 +599,7 @@ impl Denali {
                     gma,
                     &matched,
                     egraph_memory,
-                    telemetry,
+                    match_ms,
                     gma_span,
                 );
             }
@@ -642,8 +631,6 @@ impl Denali {
         }
         metrics.egraph_nodes.set(egraph_memory.nodes);
         metrics.egraph_bytes.set(egraph_memory.total_bytes);
-        let match_ms = telemetry.ms("match");
-        let search_ms = telemetry.ms("search");
         Ok(CompiledGma {
             gma,
             program: outcome.program,
@@ -653,7 +640,6 @@ impl Denali {
             probes: outcome.probes,
             match_ms,
             search_ms,
-            telemetry,
             egraph_memory,
             engine: EngineChoice::Sat,
         })
@@ -668,7 +654,7 @@ impl Denali {
         gma: Gma,
         matched: &crate::matcher::Matched,
         egraph_memory: denali_egraph::MemoryStats,
-        mut telemetry: Telemetry,
+        match_ms: f64,
         gma_span: denali_trace::Span,
     ) -> Result<CompiledGma, CompileError> {
         let tracer = &self.tracer;
@@ -686,7 +672,7 @@ impl Denali {
             tracer,
             self.options.anytime.as_ref(),
         );
-        telemetry.record("stoke", span.finish());
+        let search_ms = span.finish();
         let (program, cycles) = match &outcome {
             Some(out) if out.cancelled => {
                 gma_span.finish_fields(vec![
@@ -713,8 +699,6 @@ impl Denali {
         metrics.compiles.inc();
         metrics.egraph_nodes.set(egraph_memory.nodes);
         metrics.egraph_bytes.set(egraph_memory.total_bytes);
-        let match_ms = telemetry.ms("match");
-        let search_ms = telemetry.ms("stoke");
         Ok(CompiledGma {
             gma,
             program,
@@ -724,7 +708,6 @@ impl Denali {
             probes: Vec::new(),
             match_ms,
             search_ms,
-            telemetry,
             egraph_memory,
             engine: EngineChoice::Stochastic,
         })

@@ -41,7 +41,6 @@ pub mod fingerprint;
 pub mod machine_terms;
 pub mod matcher;
 pub mod search;
-pub mod telemetry;
 
 pub mod engine;
 
@@ -52,4 +51,3 @@ pub use facade::{
     CompileError, CompileResult, CompiledGma, Denali, Options, Prepared, SolverChoice, StokeRun,
 };
 pub use search::{DimacsDump, ProbeStats, SearchError, SearchOutcome, SearchParams};
-pub use telemetry::Telemetry;

@@ -14,8 +14,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::histogram::Histogram;
 
-/// A monotone counter. `set` exists for mirroring an external monotone
-/// source (e.g. a server's own atomic tallies) into the exposition.
+/// A monotone counter: incremented where its event happens, and read
+/// from there by every view (exposition, JSON bodies).
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -28,12 +28,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value — only for mirroring a source that is
-    /// itself monotone; never mix with `inc`/`add` on the same counter.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.

@@ -23,14 +23,14 @@ fn vars(s: &mut dyn SolverBackend, n: usize) -> Vec<Var> {
 fn add_pigeonhole(s: &mut dyn SolverBackend, holes: usize) {
     let pigeons = holes + 1;
     let v: Vec<Vec<Var>> = (0..pigeons).map(|_| vars(s, holes)).collect();
-    for p in 0..pigeons {
-        let row: Vec<Lit> = v[p].iter().map(|&x| Lit::pos(x)).collect();
+    for row in &v {
+        let row: Vec<Lit> = row.iter().map(|&x| Lit::pos(x)).collect();
         s.add_clause(&row);
     }
     for h in 0..holes {
-        for p1 in 0..pigeons {
-            for p2 in (p1 + 1)..pigeons {
-                s.add_clause(&[Lit::neg(v[p1][h]), Lit::neg(v[p2][h])]);
+        for (p1, first) in v.iter().enumerate() {
+            for second in &v[p1 + 1..] {
+                s.add_clause(&[Lit::neg(first[h]), Lit::neg(second[h])]);
             }
         }
     }

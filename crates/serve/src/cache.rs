@@ -18,10 +18,11 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// A point-in-time snapshot of the cache's counters and gauges.
+use denali_metrics::{Counter, Gauge, Registry};
+
+/// A point-in-time read of the cache's counters and gauges.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// Lookups served from memory or disk.
@@ -64,22 +65,26 @@ pub struct Cache {
     lru: Mutex<Lru>,
     budget: usize,
     dir: Option<PathBuf>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_invalid: AtomicU64,
-    evictions: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    disk_hits: Arc<Counter>,
+    disk_invalid: Arc<Counter>,
+    evictions: Arc<Counter>,
+    entries: Arc<Gauge>,
+    bytes: Arc<Gauge>,
 }
 
 impl Cache {
     /// Creates a cache with a memory budget of `budget` bytes and, if
     /// `dir` is given, a persistent disk tier rooted there (the
-    /// directory is created if missing).
+    /// directory is created if missing). Its counters and gauges are
+    /// the `denali_serve_cache_*` families of `registry`, updated where
+    /// each event happens.
     ///
     /// # Errors
     ///
     /// Fails if the cache directory cannot be created.
-    pub fn new(budget: usize, dir: Option<PathBuf>) -> std::io::Result<Cache> {
+    pub fn new(budget: usize, dir: Option<PathBuf>, registry: &Registry) -> std::io::Result<Cache> {
         if let Some(dir) = &dir {
             std::fs::create_dir_all(dir)?;
         }
@@ -87,11 +92,22 @@ impl Cache {
             lru: Mutex::new(Lru::default()),
             budget,
             dir,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            disk_invalid: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: registry.counter("denali_serve_cache_hits_total", "Result-cache hits"),
+            misses: registry.counter("denali_serve_cache_misses_total", "Result-cache misses"),
+            disk_hits: registry.counter(
+                "denali_serve_cache_disk_hits_total",
+                "Misses answered by the disk tier",
+            ),
+            disk_invalid: registry.counter(
+                "denali_serve_cache_disk_invalid_total",
+                "Disk-tier entries that failed validation and were discarded",
+            ),
+            evictions: registry.counter(
+                "denali_serve_cache_evictions_total",
+                "Memory-tier evictions under the byte budget",
+            ),
+            entries: registry.gauge("denali_serve_cache_entries", "Memory-tier cache entries"),
+            bytes: registry.gauge("denali_serve_cache_bytes", "Memory-tier cache bytes"),
         })
     }
 
@@ -117,7 +133,7 @@ impl Cache {
             let mut lru = self.lru.lock().unwrap();
             if let Some(body) = lru.entries.get(key).cloned() {
                 lru.touch(key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.inc();
                 return Some(body);
             }
         }
@@ -129,16 +145,16 @@ impl Cache {
                 // deleted and the lookup falls through to a miss, so
                 // the next compile rewrites it.
                 if crate::protocol::is_valid_result_body(&body) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.disk_hits.inc();
+                    self.hits.inc();
                     self.insert_memory(key, &body);
                     return Some(body);
                 }
-                self.disk_invalid.fetch_add(1, Ordering::Relaxed);
+                self.disk_invalid.inc();
                 let _ = std::fs::remove_file(&path);
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc();
         None
     }
 
@@ -172,22 +188,23 @@ impl Cache {
             };
             if let Some(evicted) = lru.entries.remove(&coldest) {
                 lru.bytes -= evicted.len();
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.inc();
             }
         }
+        self.entries.set(lru.entries.len() as u64);
+        self.bytes.set(lru.bytes as u64);
     }
 
-    /// Snapshots counters and gauges for the `stats` request.
+    /// Reads the counters and gauges (for the `stats` request).
     pub fn snapshot(&self) -> CacheSnapshot {
-        let lru = self.lru.lock().unwrap();
         CacheSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_invalid: self.disk_invalid.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: lru.entries.len() as u64,
-            bytes: lru.bytes as u64,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            disk_hits: self.disk_hits.get(),
+            disk_invalid: self.disk_invalid.get(),
+            evictions: self.evictions.get(),
+            entries: self.entries.get(),
+            bytes: self.bytes.get(),
         }
     }
 }
@@ -235,7 +252,7 @@ mod tests {
 
     #[test]
     fn memory_roundtrip_and_counters() {
-        let cache = Cache::new(1 << 20, None).unwrap();
+        let cache = Cache::new(1 << 20, None, &Registry::new()).unwrap();
         assert_eq!(cache.get("00ff"), None);
         cache.put("00ff", "body-a");
         assert_eq!(cache.get("00ff").as_deref(), Some("body-a"));
@@ -247,7 +264,7 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_first() {
         // Budget fits exactly two 4-byte bodies.
-        let cache = Cache::new(8, None).unwrap();
+        let cache = Cache::new(8, None, &Registry::new()).unwrap();
         cache.put("aa", "aaaa");
         cache.put("bb", "bbbb");
         assert!(cache.get("aa").is_some()); // "aa" is now hottest
@@ -260,7 +277,7 @@ mod tests {
 
     #[test]
     fn oversized_bodies_are_not_admitted() {
-        let cache = Cache::new(4, None).unwrap();
+        let cache = Cache::new(4, None, &Registry::new()).unwrap();
         cache.put("aa", "toolarge");
         assert_eq!(cache.snapshot().entries, 0);
         assert!(cache.get("aa").is_none());
@@ -268,7 +285,7 @@ mod tests {
 
     #[test]
     fn replacing_an_entry_adjusts_the_byte_gauge() {
-        let cache = Cache::new(64, None).unwrap();
+        let cache = Cache::new(64, None, &Registry::new()).unwrap();
         cache.put("aa", "xxxxxxxx");
         cache.put("aa", "yy");
         let snap = cache.snapshot();
@@ -281,11 +298,11 @@ mod tests {
         let dir = temp_dir("restart");
         let body = valid_body("abcd0123");
         {
-            let cache = Cache::new(1 << 20, Some(dir.clone())).unwrap();
+            let cache = Cache::new(1 << 20, Some(dir.clone()), &Registry::new()).unwrap();
             cache.put("abcd0123", &body);
         }
         // "Restart": a fresh cache over the same directory.
-        let cache = Cache::new(1 << 20, Some(dir.clone())).unwrap();
+        let cache = Cache::new(1 << 20, Some(dir.clone()), &Registry::new()).unwrap();
         assert_eq!(cache.get("abcd0123").as_deref(), Some(body.as_str()));
         let snap = cache.snapshot();
         assert_eq!((snap.disk_hits, snap.entries), (1, 1));
@@ -298,7 +315,7 @@ mod tests {
     #[test]
     fn corrupted_disk_entries_are_deleted_and_miss() {
         let dir = temp_dir("corrupt");
-        let cache = Cache::new(1 << 20, Some(dir.clone())).unwrap();
+        let cache = Cache::new(1 << 20, Some(dir.clone()), &Registry::new()).unwrap();
         // A torn/hand-edited entry appears on disk behind the cache's
         // back (simulating corruption the atomic writer cannot cause).
         std::fs::write(dir.join("deadbeef.json"), "{not a resp").unwrap();
@@ -323,7 +340,7 @@ mod tests {
     #[test]
     fn non_hex_keys_never_touch_the_filesystem() {
         let dir = temp_dir("keys");
-        let cache = Cache::new(1 << 20, Some(dir.clone())).unwrap();
+        let cache = Cache::new(1 << 20, Some(dir.clone()), &Registry::new()).unwrap();
         cache.put("../escape", "nope");
         assert!(!dir.join("../escape.json").exists());
         // Still served from memory.

@@ -34,9 +34,10 @@
 //! invariant, not a race that usually goes well.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
+
+use denali_metrics::{Gauge, Registry};
 
 /// A leader's outcome, as delivered to followers: the rendered response
 /// body (everything after the echoed id — follower responses differ
@@ -66,11 +67,13 @@ struct Flight {
 
 struct Inner {
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
+    /// `inflight.len()`, set under the map lock on every change.
+    inflight_gauge: Arc<Gauge>,
     /// Followers currently blocked in [`FollowerHandle::wait`].
-    waiting: AtomicU64,
+    waiting: Arc<Gauge>,
 }
 
-/// A point-in-time snapshot of the coalescer's gauges.
+/// A point-in-time read of the coalescer's gauges.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoalesceSnapshot {
     /// Fingerprints with a flight currently in the map.
@@ -86,12 +89,6 @@ pub struct Coalescer {
     inner: Arc<Inner>,
 }
 
-impl Default for Coalescer {
-    fn default() -> Coalescer {
-        Coalescer::new()
-    }
-}
-
 /// The result of [`Coalescer::join`].
 pub enum Join {
     /// First request for this key (or claimant of an orphaned flight):
@@ -103,12 +100,20 @@ pub enum Join {
 }
 
 impl Coalescer {
-    /// Creates an empty coalescer.
-    pub fn new() -> Coalescer {
+    /// Creates an empty coalescer whose gauges are the
+    /// `denali_serve_coalesce_*` families of `registry`.
+    pub fn new(registry: &Registry) -> Coalescer {
         Coalescer {
             inner: Arc::new(Inner {
                 inflight: Mutex::new(HashMap::new()),
-                waiting: AtomicU64::new(0),
+                inflight_gauge: registry.gauge(
+                    "denali_serve_coalesce_inflight",
+                    "Flights currently executing",
+                ),
+                waiting: registry.gauge(
+                    "denali_serve_coalesce_waiting",
+                    "Followers waiting on an in-flight leader",
+                ),
             }),
         }
     }
@@ -129,7 +134,7 @@ impl Coalescer {
                     return Join::Leader(self.guard(key, flight));
                 }
             }
-            self.inner.waiting.fetch_add(1, Ordering::Relaxed);
+            self.inner.waiting.add(1);
             Join::Follower(FollowerHandle {
                 inner: Arc::clone(&self.inner),
                 key: key.to_owned(),
@@ -141,6 +146,7 @@ impl Coalescer {
                 wake: Condvar::new(),
             });
             map.insert(key.to_owned(), Arc::clone(&flight));
+            self.inner.inflight_gauge.set(map.len() as u64);
             drop(map);
             Join::Leader(self.guard(key, flight))
         }
@@ -155,11 +161,11 @@ impl Coalescer {
         }
     }
 
-    /// Snapshots the gauges for the `stats` request.
+    /// Reads the gauges (for the `stats` request).
     pub fn snapshot(&self) -> CoalesceSnapshot {
         CoalesceSnapshot {
-            inflight: self.inner.inflight.lock().unwrap().len() as u64,
-            waiting: self.inner.waiting.load(Ordering::Relaxed),
+            inflight: self.inner.inflight_gauge.get(),
+            waiting: self.inner.waiting.get(),
         }
     }
 }
@@ -203,6 +209,7 @@ impl LeaderGuard {
             .is_some_and(|f| Arc::ptr_eq(f, &self.flight))
         {
             map.remove(&self.key);
+            self.inner.inflight_gauge.set(map.len() as u64);
         }
     }
 }
@@ -245,7 +252,7 @@ impl FollowerHandle {
     /// Blocks until the leader delivers, the follower's `deadline`
     /// passes, or the leader vanishes and this follower is promoted.
     pub fn wait(self, deadline: Option<Instant>) -> Wait {
-        let done = |inner: &Inner| inner.waiting.fetch_sub(1, Ordering::Relaxed);
+        let done = |inner: &Inner| inner.waiting.sub(1);
         let mut state = self.flight.state.lock().unwrap();
         loop {
             match &*state {
@@ -298,7 +305,7 @@ mod tests {
 
     #[test]
     fn leader_then_followers_replay_the_delivery() {
-        let c = Coalescer::new();
+        let c = Coalescer::new(&Registry::new());
         let Join::Leader(leader) = c.join("aa") else {
             panic!("first join must lead");
         };
@@ -328,7 +335,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_coalesce() {
-        let c = Coalescer::new();
+        let c = Coalescer::new(&Registry::new());
         let Join::Leader(a) = c.join("aa") else {
             panic!();
         };
@@ -343,7 +350,7 @@ mod tests {
 
     #[test]
     fn follower_deadline_expires_independently_of_the_leader() {
-        let c = Coalescer::new();
+        let c = Coalescer::new(&Registry::new());
         let Join::Leader(leader) = c.join("aa") else {
             panic!();
         };
@@ -364,7 +371,7 @@ mod tests {
 
     #[test]
     fn dropped_leader_promotes_exactly_one_follower() {
-        let c = Coalescer::new();
+        let c = Coalescer::new(&Registry::new());
         let Join::Leader(leader) = c.join("aa") else {
             panic!();
         };
@@ -408,7 +415,7 @@ mod tests {
 
     #[test]
     fn orphan_with_no_waiters_is_claimed_by_the_next_joiner() {
-        let c = Coalescer::new();
+        let c = Coalescer::new(&Registry::new());
         let Join::Leader(leader) = c.join("aa") else {
             panic!();
         };
@@ -427,7 +434,7 @@ mod tests {
         // must never hang the joiner: it either follows (and is
         // delivered) or leads a fresh flight.
         for _ in 0..50 {
-            let c = Arc::new(Coalescer::new());
+            let c = Arc::new(Coalescer::new(&Registry::new()));
             let Join::Leader(leader) = c.join("aa") else {
                 panic!();
             };

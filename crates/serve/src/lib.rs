@@ -36,14 +36,17 @@
 //!   expired search is abandoned mid-probe, and the server answers
 //!   with the baseline rewrite program tagged `"degraded": true` — the
 //!   client always gets *a* correct program.
-//! * **Stats** ([`stats`]) — a `stats` request exposes request/outcome
-//!   counters, cache hit/miss/eviction gauges, queue depth, uptime,
-//!   and (schema v2) per-stage/per-outcome latency quantiles. Every
-//!   request runs under a `serve.request` trace span.
-//! * **Metrics** ([`metrics`]) — per-stage (queue, cache, coalesce,
-//!   execute, total) and per-outcome latency histograms plus mirrors of
-//!   every counter, rendered in the Prometheus text exposition format
-//!   for `denali serve --metrics-addr` (see `denali_metrics`).
+//! * **Metrics** ([`metrics`]) — one registry per server holds every
+//!   request/outcome counter, the cache and coalescer counters and
+//!   gauges, queue depth, and per-stage (queue, cache, coalesce,
+//!   execute, total) and per-outcome latency histograms. Each counter
+//!   is incremented where its event happens; the registry renders the
+//!   Prometheus text exposition for `denali serve --metrics-addr` (see
+//!   `denali_metrics`).
+//! * **Stats** ([`stats`]) — a `stats` request reads the same handles:
+//!   counters, cache and coalescer gauges, queue depth, uptime, and
+//!   (schema v2) per-stage/per-outcome latency quantiles. Every request
+//!   runs under a `serve.request` trace span.
 //! * **Flight recorder** ([`flight`]) — an always-on bounded ring of
 //!   finished-request summaries (the `flight` request reads it back),
 //!   deterministic 1-in-N trace sampling, and retroactive spooling of

@@ -1,26 +1,22 @@
 //! The server's metric families: per-stage and per-outcome latency
-//! histograms plus Prometheus-mirrored views of the [`Stats`] counters.
+//! histograms, the request/outcome counters, and the queue-depth gauge.
 //!
 //! Each [`Server`](crate::Server) owns one [`ServeMetrics`] with its own
-//! [`Registry`] — servers must not share request latency (tests run
-//! several per process) — while the core pipeline's families live in
-//! [`denali_metrics::global`]. [`ServeMetrics::render`] emits both, so
-//! one `GET /metrics` scrape carries the whole picture.
+//! [`Registry`] — servers must not share request latency or counts
+//! (tests run several per process) — while the core pipeline's families
+//! live in [`denali_metrics::global`]. The cache and the coalescer
+//! register their own families in the same registry. `/metrics` renders
+//! the registry and the `stats` body ([`ServeMetrics::stats_body`])
+//! reads the same handles, so the two can never disagree about a tally.
 //!
-//! The histograms are recorded on the request path (lock-free,
-//! nanoseconds per event); the counter/gauge mirrors are *pull*-style —
-//! [`ServeMetrics::sync`] copies the authoritative [`Stats`] /cache/
-//! coalescer values at scrape or stats time. Mirroring beats double
-//! counting: the JSONL `stats` response and the exposition endpoint can
-//! never disagree about a tally.
+//! Every counter has exactly one home: a registry handle, incremented
+//! on the request path where its event happens (lock-free, nanoseconds
+//! per event).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use denali_metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-
-use crate::cache::CacheSnapshot;
-use crate::coalesce::CoalesceSnapshot;
-use crate::stats::Stats;
 
 /// The five stages a pooled compile passes through; `total` spans
 /// admission to response.
@@ -35,6 +31,7 @@ const OUTCOMES: [&str; 5] = ["ok", "hit", "degraded", "error", "coalesced"];
 /// through.
 pub struct ServeMetrics {
     registry: Registry,
+    started: Instant,
     /// Time from admission to the start of leader execution (pooled
     /// paths only; the synchronous test path has no queue).
     pub stage_queue: Arc<Histogram>,
@@ -46,37 +43,54 @@ pub struct ServeMetrics {
     pub stage_execute: Arc<Histogram>,
     /// Admission to rendered response, every request.
     pub stage_total: Arc<Histogram>,
-    /// The pool's queue-depth gauge, updated live on submit/dequeue.
+    /// Jobs admitted to the pool but not yet started: the transports'
+    /// pool counts its depth here.
     pub queue_depth: Arc<Gauge>,
     outcomes: [Arc<Histogram>; 5],
-    mirror: Mirror,
-}
-
-/// Scrape-time mirrors of the authoritative counters.
-struct Mirror {
-    requests: Arc<Counter>,
-    compiles_ok: Arc<Counter>,
-    compiles_degraded: Arc<Counter>,
-    compile_errors: Arc<Counter>,
-    executions: Arc<Counter>,
-    protocol_errors: Arc<Counter>,
-    overload_rejections: Arc<Counter>,
-    shutdown_rejections: Arc<Counter>,
-    worker_panics: Arc<Counter>,
-    coalesced: Arc<Counter>,
-    coalesced_expired: Arc<Counter>,
-    promotions: Arc<Counter>,
-    stoke_harvests: Arc<Counter>,
-    stoke_compiles: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_disk_hits: Arc<Counter>,
-    cache_disk_invalid: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    cache_entries: Arc<Gauge>,
-    cache_bytes: Arc<Gauge>,
-    coalesce_inflight: Arc<Gauge>,
-    coalesce_waiting: Arc<Gauge>,
+    /// Request lines received (including malformed ones).
+    pub requests: Arc<Counter>,
+    /// Compiles answered with a full (non-degraded) result.
+    pub compiles_ok: Arc<Counter>,
+    /// Compiles answered with a `degraded: true` baseline program.
+    pub compiles_degraded: Arc<Counter>,
+    /// Compiles answered with an error (parse/lower/search/...).
+    pub compile_errors: Arc<Counter>,
+    /// Pipeline executions actually started (cache hits and coalesced
+    /// followers do *not* count — this is the denominator stampede
+    /// tests assert on).
+    pub executions: Arc<Counter>,
+    /// Lines rejected before admission (malformed JSON, schema).
+    pub protocol_errors: Arc<Counter>,
+    /// Requests shed with a retryable `overload` error.
+    pub overload_rejections: Arc<Counter>,
+    /// Requests rejected because the server is shutting down
+    /// (non-retryable `shutting_down` error).
+    pub shutdown_rejections: Arc<Counter>,
+    /// Compile jobs that panicked (the worker survives; the request is
+    /// answered with an internal error).
+    pub worker_panics: Arc<Counter>,
+    /// Requests answered by replaying an in-flight leader's result.
+    pub coalesced: Arc<Counter>,
+    /// Followers whose own deadline expired before their leader
+    /// finished (answered with their own degraded program).
+    pub coalesced_expired: Arc<Counter>,
+    /// Followers promoted to leader after their leader vanished.
+    pub promotions: Arc<Counter>,
+    /// Deadline-expired compiles answered with a simulator-verified
+    /// stochastic program harvested from the anytime channel (a full
+    /// `degraded: false` answer instead of the baseline fallback).
+    pub stoke_harvests: Arc<Counter>,
+    /// Compiles answered by the stochastic engine (full runs and
+    /// harvests): the request asked for `engine: stochastic`, or `auto`
+    /// fell back after the SAT budget was exhausted.
+    pub stoke_compiles: Arc<Counter>,
+    /// E-graph arena nodes saturated across all executions (cumulative
+    /// over the GMAs of every non-cached compile).
+    pub egraph_nodes: Arc<Counter>,
+    /// E-graph storage payload bytes across all executions (arena +
+    /// interned slices + class lists + memo; cumulative like
+    /// `egraph_nodes`, so bytes ÷ nodes is a fleet-wide bytes/node).
+    pub egraph_bytes: Arc<Counter>,
     uptime_seconds: Arc<Gauge>,
 }
 
@@ -109,23 +123,18 @@ impl ServeMetrics {
                 "Compile responses by outcome",
             )
         };
-        let stage_queue = stage(STAGES[0]);
-        let stage_cache = stage(STAGES[1]);
-        let stage_coalesce = stage(STAGES[2]);
-        let stage_execute = stage(STAGES[3]);
-        let stage_total = stage(STAGES[4]);
-        let queue_depth = registry.gauge(
-            "denali_serve_queue_depth",
-            "Jobs admitted to the pool but not yet started",
-        );
-        let outcomes = [
-            outcome(OUTCOMES[0]),
-            outcome(OUTCOMES[1]),
-            outcome(OUTCOMES[2]),
-            outcome(OUTCOMES[3]),
-            outcome(OUTCOMES[4]),
-        ];
-        let mirror = Mirror {
+        ServeMetrics {
+            started: Instant::now(),
+            stage_queue: stage(STAGES[0]),
+            stage_cache: stage(STAGES[1]),
+            stage_coalesce: stage(STAGES[2]),
+            stage_execute: stage(STAGES[3]),
+            stage_total: stage(STAGES[4]),
+            queue_depth: registry.gauge(
+                "denali_serve_queue_depth",
+                "Jobs admitted to the pool but not yet started",
+            ),
+            outcomes: OUTCOMES.map(outcome),
             requests: registry.counter(
                 "denali_serve_requests_total",
                 "Request lines received (including malformed ones)",
@@ -173,46 +182,29 @@ impl ServeMetrics {
                 "denali_serve_stoke_compiles_total",
                 "Compiles answered by the stochastic engine",
             ),
-            cache_hits: registry.counter("denali_serve_cache_hits_total", "Result-cache hits"),
-            cache_misses: registry
-                .counter("denali_serve_cache_misses_total", "Result-cache misses"),
-            cache_disk_hits: registry.counter(
-                "denali_serve_cache_disk_hits_total",
-                "Misses answered by the disk tier",
+            egraph_nodes: registry.counter(
+                "denali_serve_egraph_nodes_total",
+                "E-graph nodes saturated across all executions",
             ),
-            cache_disk_invalid: registry.counter(
-                "denali_serve_cache_disk_invalid_total",
-                "Disk-tier entries that failed validation and were discarded",
-            ),
-            cache_evictions: registry.counter(
-                "denali_serve_cache_evictions_total",
-                "Memory-tier evictions under the byte budget",
-            ),
-            cache_entries: registry
-                .gauge("denali_serve_cache_entries", "Memory-tier cache entries"),
-            cache_bytes: registry.gauge("denali_serve_cache_bytes", "Memory-tier cache bytes"),
-            coalesce_inflight: registry.gauge(
-                "denali_serve_coalesce_inflight",
-                "Flights currently executing",
-            ),
-            coalesce_waiting: registry.gauge(
-                "denali_serve_coalesce_waiting",
-                "Followers waiting on an in-flight leader",
+            egraph_bytes: registry.counter(
+                "denali_serve_egraph_bytes_total",
+                "E-graph storage bytes across all executions",
             ),
             uptime_seconds: registry
                 .gauge("denali_serve_uptime_seconds", "Seconds since server start"),
-        };
-        ServeMetrics {
             registry,
-            stage_queue,
-            stage_cache,
-            stage_coalesce,
-            stage_execute,
-            stage_total,
-            queue_depth,
-            outcomes,
-            mirror,
         }
+    }
+
+    /// The registry every family of this server lives in (the cache and
+    /// the coalescer register theirs here too).
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Milliseconds since the metrics (and so the server) were created.
+    pub(crate) fn uptime_ms(&self) -> u128 {
+        self.started.elapsed().as_millis()
     }
 
     /// Records a finished request: `total_us` into the total-stage
@@ -235,39 +227,9 @@ impl ServeMetrics {
         }
     }
 
-    /// Copies the authoritative counters into their exposition mirrors.
-    pub fn sync(&self, stats: &Stats, cache: &CacheSnapshot, coalesce: &CoalesceSnapshot) {
-        use std::sync::atomic::Ordering;
-        let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-        let m = &self.mirror;
-        m.requests.set(load(&stats.requests));
-        m.compiles_ok.set(load(&stats.compiles_ok));
-        m.compiles_degraded.set(load(&stats.compiles_degraded));
-        m.compile_errors.set(load(&stats.compile_errors));
-        m.executions.set(load(&stats.executions));
-        m.protocol_errors.set(load(&stats.protocol_errors));
-        m.overload_rejections.set(load(&stats.overload_rejections));
-        m.shutdown_rejections.set(load(&stats.shutdown_rejections));
-        m.worker_panics.set(load(&stats.worker_panics));
-        m.coalesced.set(load(&stats.coalesced));
-        m.coalesced_expired.set(load(&stats.coalesced_expired));
-        m.promotions.set(load(&stats.promotions));
-        m.stoke_harvests.set(load(&stats.stoke_harvests));
-        m.stoke_compiles.set(load(&stats.stoke_compiles));
-        m.cache_hits.set(cache.hits);
-        m.cache_misses.set(cache.misses);
-        m.cache_disk_hits.set(cache.disk_hits);
-        m.cache_disk_invalid.set(cache.disk_invalid);
-        m.cache_evictions.set(cache.evictions);
-        m.cache_entries.set(cache.entries);
-        m.cache_bytes.set(cache.bytes);
-        m.coalesce_inflight.set(coalesce.inflight);
-        m.coalesce_waiting.set(coalesce.waiting);
-        m.uptime_seconds.set(stats.started.elapsed().as_secs());
-    }
-
     /// Renders this server's families in the exposition format.
     pub fn render(&self) -> String {
+        self.uptime_seconds.set(self.started.elapsed().as_secs());
         self.registry.render()
     }
 
@@ -353,25 +315,15 @@ mod tests {
         let metrics = ServeMetrics::new();
         metrics.observe_outcome("ok", false, 12345);
         metrics.stage_queue.observe(7);
-        metrics.sync(
-            &Stats::default(),
-            &CacheSnapshot {
-                hits: 1,
-                misses: 2,
-                disk_hits: 0,
-                disk_invalid: 0,
-                evictions: 0,
-                entries: 1,
-                bytes: 100,
-            },
-            &CoalesceSnapshot {
-                inflight: 0,
-                waiting: 0,
-            },
-        );
+        let cache = crate::Cache::new(1024, None, metrics.registry()).unwrap();
+        cache.put("aa", "body");
+        assert!(cache.get("aa").is_some());
+        metrics.requests.inc();
         let text = metrics.render();
         denali_metrics::validate_exposition(&text).unwrap();
         assert!(text.contains("denali_serve_stage_us_bucket{stage=\"queue\""));
         assert!(text.contains("denali_serve_cache_hits_total 1"));
+        assert!(text.contains("denali_serve_cache_entries 1"));
+        assert!(text.contains("denali_serve_requests_total 1"));
     }
 }

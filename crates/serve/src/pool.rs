@@ -18,6 +18,8 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
+use denali_metrics::Gauge;
+
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Why [`Pool::try_submit`] declined a job. The two cases demand
@@ -39,9 +41,8 @@ pub enum SubmitError {
 pub struct Pool {
     sender: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    queued: Arc<AtomicU64>,
+    queued: Arc<Gauge>,
     panics: Arc<AtomicU64>,
-    gauge: Option<Arc<denali_metrics::Gauge>>,
 }
 
 impl Pool {
@@ -51,28 +52,23 @@ impl Pool {
         Pool::with_depth_gauge(workers, queue, None)
     }
 
-    /// [`Pool::new`], mirroring the queue depth into `gauge` on every
-    /// submit and dequeue (the `denali_serve_queue_depth` family). The
-    /// mirror is advisory — racing updates may briefly publish a stale
-    /// depth; [`Pool::depth`] stays authoritative.
-    pub fn with_depth_gauge(
-        workers: usize,
-        queue: usize,
-        gauge: Option<Arc<denali_metrics::Gauge>>,
-    ) -> Pool {
+    /// [`Pool::new`], counting the queue depth in `gauge` (the
+    /// server's `denali_serve_queue_depth` family) instead of a private
+    /// gauge. The gauge is the pool's only depth counter, so
+    /// [`Pool::depth`], the `stats` body and `/metrics` read one value.
+    pub fn with_depth_gauge(workers: usize, queue: usize, gauge: Option<Arc<Gauge>>) -> Pool {
         let (sender, receiver) = mpsc::sync_channel::<Job>(queue);
         let receiver = Arc::new(Mutex::new(receiver));
-        let queued = Arc::new(AtomicU64::new(0));
+        let queued = gauge.unwrap_or_default();
         let panics = Arc::new(AtomicU64::new(0));
         let workers = (0..workers.max(1))
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
                 let queued = Arc::clone(&queued);
                 let panics = Arc::clone(&panics);
-                let gauge = gauge.clone();
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&receiver, &queued, &panics, gauge.as_deref()))
+                    .spawn(move || worker_loop(&receiver, &queued, &panics))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -81,7 +77,6 @@ impl Pool {
             workers,
             queued,
             panics,
-            gauge,
         }
     }
 
@@ -97,26 +92,19 @@ impl Pool {
         let sender = self.sender.as_ref().expect("pool not shut down");
         // Count before sending so a worker that dequeues instantly
         // never observes a decrement racing ahead of the increment.
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        let result = match sender.try_send(Box::new(job)) {
-            Ok(()) => Ok(()),
-            Err(err) => {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                Err(match err {
-                    TrySendError::Full(_) => SubmitError::Full,
-                    TrySendError::Disconnected(_) => SubmitError::Closed,
-                })
+        self.queued.add(1);
+        sender.try_send(Box::new(job)).map_err(|err| {
+            self.queued.sub(1);
+            match err {
+                TrySendError::Full(_) => SubmitError::Full,
+                TrySendError::Disconnected(_) => SubmitError::Closed,
             }
-        };
-        if let Some(gauge) = &self.gauge {
-            gauge.set(self.queued.load(Ordering::Relaxed));
-        }
-        result
+        })
     }
 
     /// Jobs admitted but not yet started (the queue-depth gauge).
     pub fn depth(&self) -> u64 {
-        self.queued.load(Ordering::Relaxed)
+        self.queued.get()
     }
 
     /// Jobs that panicked on a worker (the worker survives each one).
@@ -135,22 +123,14 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(
-    receiver: &Mutex<Receiver<Job>>,
-    queued: &AtomicU64,
-    panics: &AtomicU64,
-    gauge: Option<&denali_metrics::Gauge>,
-) {
+fn worker_loop(receiver: &Mutex<Receiver<Job>>, queued: &Gauge, panics: &AtomicU64) {
     loop {
         // Hold the lock only while dequeuing, never while running.
         let job = match receiver.lock().unwrap().recv() {
             Ok(job) => job,
             Err(_) => return, // pool dropped and queue drained
         };
-        queued.fetch_sub(1, Ordering::Relaxed);
-        if let Some(gauge) = gauge {
-            gauge.set(queued.load(Ordering::Relaxed));
-        }
+        queued.sub(1);
         // A panicking job must not take the worker thread with it:
         // every panic would silently shrink the pool until admitted
         // requests hang forever. The payload is discarded — the server
@@ -211,9 +191,8 @@ mod tests {
         let pool = Pool {
             sender: Some(sender),
             workers: Vec::new(),
-            queued: Arc::new(AtomicU64::new(0)),
+            queued: Arc::default(),
             panics: Arc::new(AtomicU64::new(0)),
-            gauge: None,
         };
         assert_eq!(pool.try_submit(|| ()), Err(SubmitError::Closed));
         assert_eq!(pool.depth(), 0, "a rejected job is not queued");
@@ -231,8 +210,8 @@ mod tests {
     }
 
     #[test]
-    fn depth_gauge_mirrors_the_queue() {
-        let gauge = Arc::new(denali_metrics::Gauge::default());
+    fn depth_gauge_counts_the_queue() {
+        let gauge = Arc::new(Gauge::default());
         let pool = Pool::with_depth_gauge(1, 4, Some(Arc::clone(&gauge)));
         let gate = Arc::new(Mutex::new(()));
         let hold = gate.lock().unwrap();

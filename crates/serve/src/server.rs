@@ -2,7 +2,7 @@
 //! transports.
 //!
 //! A [`Server`] owns the shared state (base options, cache, deadline
-//! watchdog, coalescer, stats); transports own the [`Pool`] so that
+//! watchdog, coalescer, metrics); transports own the [`Pool`] so that
 //! dropping the transport drains admitted requests before the process
 //! exits — EOF on stdin is a *graceful* shutdown, not an abort.
 //!
@@ -54,7 +54,6 @@ use crate::flight::FlightRecorder;
 use crate::metrics::ServeMetrics;
 use crate::pool::{Pool, SubmitError};
 use crate::protocol::{self, CompileRequest, GmaSummary, Request, RequestId};
-use crate::stats::Stats;
 
 /// A duration as saturating whole microseconds (histogram units).
 fn us(elapsed: Duration) -> u64 {
@@ -141,7 +140,6 @@ pub struct Server {
     config: ServerConfig,
     cache: Cache,
     watch: DeadlineWatch,
-    stats: Stats,
     coalescer: Coalescer,
     tracer: Tracer,
     followers: FollowerTracker,
@@ -168,7 +166,12 @@ impl Server {
     ///
     /// Fails if the cache or spool directory cannot be created.
     pub fn new(config: ServerConfig) -> std::io::Result<Server> {
-        let cache = Cache::new(config.cache_bytes, config.cache_dir.clone())?;
+        let metrics = ServeMetrics::new();
+        let cache = Cache::new(
+            config.cache_bytes,
+            config.cache_dir.clone(),
+            metrics.registry(),
+        )?;
         if let Some(dir) = &config.spool_dir {
             std::fs::create_dir_all(dir)?;
         }
@@ -183,11 +186,10 @@ impl Server {
             config,
             cache,
             watch: DeadlineWatch::new(),
-            stats: Stats::default(),
-            coalescer: Coalescer::new(),
+            coalescer: Coalescer::new(metrics.registry()),
             tracer,
             followers: FollowerTracker::default(),
-            metrics: ServeMetrics::new(),
+            metrics,
             flight,
         })
     }
@@ -202,8 +204,8 @@ impl Server {
         &self.cache
     }
 
-    /// The server's metric families (stage/outcome histograms, counter
-    /// mirrors).
+    /// The server's metric families (stage/outcome histograms, request
+    /// counters, queue depth).
     pub fn metrics(&self) -> &ServeMetrics {
         &self.metrics
     }
@@ -214,15 +216,9 @@ impl Server {
     }
 
     /// Renders the full `/metrics` exposition: this server's families
-    /// (mirrors refreshed at scrape time) followed by the process-wide
-    /// [`denali_metrics::global`] families the core pipeline records
-    /// into. One scrape, the whole picture.
+    /// followed by the process-wide [`denali_metrics::global`] families
+    /// the core pipeline records into. One scrape, the whole picture.
     pub fn metrics_text(&self) -> String {
-        self.metrics.sync(
-            &self.stats,
-            &self.cache.snapshot(),
-            &self.coalescer.snapshot(),
-        );
         let mut out = self.metrics.render();
         out.push_str(&denali_metrics::global().render());
         out
@@ -247,8 +243,8 @@ impl Server {
         self.followers.drain();
     }
 
-    /// Handles one request line synchronously (admission = now, queue
-    /// depth reported as 0, no coalescing — there is no concurrency to
+    /// Handles one request line synchronously (admission = now, no
+    /// pool, no coalescing — there is no concurrency to
     /// coalesce on a single thread). The transports go through
     /// [`dispatch`] instead to get pooled admission; tests and benches
     /// use this. Returns `None` for blank lines, which elicit no
@@ -258,11 +254,11 @@ impl Server {
         if line.is_empty() {
             return None;
         }
-        Stats::bump(&self.stats.requests);
+        self.metrics.requests.inc();
         match protocol::parse_request(line) {
             Err(e) => Some(self.protocol_error(&e.message)),
             Ok(Request::Ping(id)) => Some(pong(&id)),
-            Ok(Request::Stats(id)) => Some(self.stats_response(&id, 0)),
+            Ok(Request::Stats(id)) => Some(self.stats_response(&id)),
             Ok(Request::Flight(id)) => {
                 Some(protocol::render_response(&id, &self.flight.render_body()))
             }
@@ -271,20 +267,17 @@ impl Server {
     }
 
     fn protocol_error(&self, message: &str) -> String {
-        Stats::bump(&self.stats.protocol_errors);
+        self.metrics.protocol_errors.inc();
         protocol::render_response(
             &RequestId::Null,
             &protocol::render_error_body("protocol", message, false),
         )
     }
 
-    fn stats_response(&self, id: &RequestId, queue_depth: u64) -> String {
-        let body = self.stats.render_body(
-            queue_depth,
-            &self.cache.snapshot(),
-            &self.coalescer.snapshot(),
-            &self.metrics.latency_json(),
-        );
+    fn stats_response(&self, id: &RequestId) -> String {
+        let body = self
+            .metrics
+            .stats_body(&self.cache.snapshot(), &self.coalescer.snapshot());
         protocol::render_response(id, &body)
     }
 
@@ -307,7 +300,7 @@ impl Server {
             Err(response) => return response,
         };
         if let Some(body) = self.timed_cache_get(&ctx.fingerprint) {
-            Stats::bump(&self.stats.compiles_ok);
+            self.metrics.compiles_ok.inc();
             return self.finish(&req.id, admitted, "hit", false, None, &body);
         }
         let (outcome, body, trace) = self.execute(&req.id, &ctx, req.deadline_ms, admitted);
@@ -354,7 +347,7 @@ impl Server {
                 })
             }
             Err(e) => {
-                Stats::bump(&self.stats.compile_errors);
+                self.metrics.compile_errors.inc();
                 Err(self.finish(
                     &req.id,
                     Instant::now(),
@@ -380,7 +373,7 @@ impl Server {
         deadline_ms: Option<u64>,
         admitted: Instant,
     ) -> (&'static str, String, Option<String>) {
-        Stats::bump(&self.stats.executions);
+        self.metrics.executions.inc();
         let exec_started = Instant::now();
         // Attach a private capture tracer when this execution is
         // sampled, or whenever slow-spooling is armed (the keep/discard
@@ -419,12 +412,8 @@ impl Server {
         let (outcome, body) = match denali.compile_prepared(&ctx.prepared) {
             Ok(result) => {
                 for mem in result.gmas.iter().map(|c| c.egraph_memory) {
-                    self.stats
-                        .egraph_nodes
-                        .fetch_add(mem.nodes, std::sync::atomic::Ordering::Relaxed);
-                    self.stats
-                        .egraph_bytes
-                        .fetch_add(mem.total_bytes, std::sync::atomic::Ordering::Relaxed);
+                    self.metrics.egraph_nodes.add(mem.nodes);
+                    self.metrics.egraph_bytes.add(mem.total_bytes);
                 }
                 let gmas: Vec<GmaSummary> = result
                     .gmas
@@ -442,14 +431,14 @@ impl Server {
                     .iter()
                     .any(|c| c.engine == EngineChoice::Stochastic)
                 {
-                    Stats::bump(&self.stats.stoke_compiles);
+                    self.metrics.stoke_compiles.inc();
                     "stochastic"
                 } else {
                     "sat"
                 };
                 let body = protocol::render_result_body(&ctx.fingerprint, false, engine, &gmas);
                 self.cache.put(&ctx.fingerprint, &body);
-                Stats::bump(&self.stats.compiles_ok);
+                self.metrics.compiles_ok.inc();
                 ("ok", body)
             }
             Err(e) if e.is_cancelled() => {
@@ -458,19 +447,19 @@ impl Server {
                     // when this request's deadline fired, not on the
                     // program alone.
                     Ok((body, true)) => {
-                        Stats::bump(&self.stats.stoke_harvests);
+                        self.metrics.stoke_harvests.inc();
                         // A harvest is a stochastic-answered compile,
                         // so it counts under both stoke gauges.
-                        Stats::bump(&self.stats.stoke_compiles);
-                        Stats::bump(&self.stats.compiles_ok);
+                        self.metrics.stoke_compiles.inc();
+                        self.metrics.compiles_ok.inc();
                         ("harvested", body)
                     }
                     Ok((body, false)) => {
-                        Stats::bump(&self.stats.compiles_degraded);
+                        self.metrics.compiles_degraded.inc();
                         ("degraded", body)
                     }
                     Err(message) => {
-                        Stats::bump(&self.stats.compile_errors);
+                        self.metrics.compile_errors.inc();
                         (
                             "error",
                             protocol::render_error_body("degraded", &message, false),
@@ -479,7 +468,7 @@ impl Server {
                 }
             }
             Err(e) => {
-                Stats::bump(&self.stats.compile_errors);
+                self.metrics.compile_errors.inc();
                 (
                     "error",
                     protocol::render_error_body(e.stage, &e.message, false),
@@ -643,10 +632,13 @@ fn pong(id: &RequestId) -> String {
     protocol::render_response(id, "\"status\":\"ok\",\"pong\":true")
 }
 
+/// Writes one response line with a single `write_all`: on TCP a
+/// separate newline write would wait for the client's delayed ACK.
 fn write_line<W: Write>(out: &Mutex<W>, line: &str) {
+    let framed = format!("{line}\n");
     let mut out = out.lock().unwrap();
     // A dead transport (client hung up) is not a server error.
-    let _ = writeln!(out, "{line}");
+    let _ = out.write_all(framed.as_bytes());
     let _ = out.flush();
 }
 
@@ -677,7 +669,7 @@ fn run_leader<W: Write + Send + 'static>(
     // vanished leader *was* their queue.)
     server.metrics.stage_queue.observe(us(admitted.elapsed()));
     if let Some(body) = server.timed_cache_get(&ctx.fingerprint) {
-        Stats::bump(&server.stats.compiles_ok);
+        server.metrics.compiles_ok.inc();
         let line = server.finish(&req.id, admitted, "hit", false, None, &body);
         guard.complete(Delivery {
             outcome: "ok",
@@ -702,8 +694,8 @@ fn run_leader<W: Write + Send + 'static>(
             // been stateful. Each promoted leader that panics again
             // answers its own request the same way, so the chain
             // terminates with every request answered.
-            Stats::bump(&server.stats.worker_panics);
-            Stats::bump(&server.stats.compile_errors);
+            server.metrics.worker_panics.inc();
+            server.metrics.compile_errors.inc();
             let body = protocol::render_error_body(
                 "internal",
                 "compile job panicked; see server log",
@@ -745,20 +737,20 @@ fn submit_leader<W: Write + Send + 'static>(
         let (outcome, counter, stage, message, retryable) = match e {
             SubmitError::Full => (
                 "overload",
-                &server.stats.overload_rejections,
+                &server.metrics.overload_rejections,
                 "overload",
                 "admission queue is full; retry later",
                 true,
             ),
             SubmitError::Closed => (
                 "shutdown",
-                &server.stats.shutdown_rejections,
+                &server.metrics.shutdown_rejections,
                 "shutting_down",
                 "server is shutting down; do not retry",
                 false,
             ),
         };
-        Stats::bump(counter);
+        counter.inc();
         let body = protocol::render_error_body(stage, message, retryable);
         let line = server.finish(&id, admitted, outcome, false, None, &body);
         // Deliver the same outcome to any followers already subscribed
@@ -814,15 +806,15 @@ fn follower_wait<W: Write + Send + 'static>(
     server.metrics.stage_coalesce.observe(us(waited.elapsed()));
     match outcome {
         Wait::Delivered(d) => {
-            Stats::bump(&server.stats.coalesced);
+            server.metrics.coalesced.inc();
             let counter = match d.outcome {
-                "ok" | "harvested" => &server.stats.compiles_ok,
-                "degraded" => &server.stats.compiles_degraded,
-                "overload" => &server.stats.overload_rejections,
-                "shutdown" => &server.stats.shutdown_rejections,
-                _ => &server.stats.compile_errors,
+                "ok" | "harvested" => &server.metrics.compiles_ok,
+                "degraded" => &server.metrics.compiles_degraded,
+                "overload" => &server.metrics.overload_rejections,
+                "shutdown" => &server.metrics.shutdown_rejections,
+                _ => &server.metrics.compile_errors,
             };
-            Stats::bump(counter);
+            counter.inc();
             let line = server.finish(&req.id, admitted, d.outcome, true, None, &d.body);
             write_line(out, &line);
         }
@@ -832,15 +824,15 @@ fn follower_wait<W: Write + Send + 'static>(
             // answer now, exactly as if it had run and been cancelled —
             // waiting past the deadline for a maybe-soon leader would
             // violate the one guarantee deadlines make.
-            Stats::bump(&server.stats.coalesced_expired);
+            server.metrics.coalesced_expired.inc();
             match degraded_body(&ctx.denali, &ctx.prepared, &ctx.fingerprint) {
                 Ok(body) => {
-                    Stats::bump(&server.stats.compiles_degraded);
+                    server.metrics.compiles_degraded.inc();
                     let line = server.finish(&req.id, admitted, "degraded", true, None, &body);
                     write_line(out, &line);
                 }
                 Err(message) => {
-                    Stats::bump(&server.stats.compile_errors);
+                    server.metrics.compile_errors.inc();
                     let body = protocol::render_error_body("degraded", &message, false);
                     let line = server.finish(&req.id, admitted, "error", true, None, &body);
                     write_line(out, &line);
@@ -853,7 +845,7 @@ fn follower_wait<W: Write + Send + 'static>(
             // the leader's worker slot is already gone (unwound), so
             // this does not exceed the pool's concurrency by more than
             // the vanished leader already freed.
-            Stats::bump(&server.stats.promotions);
+            server.metrics.promotions.inc();
             run_leader(server, guard, req, ctx, admitted, out);
         }
     }
@@ -875,11 +867,11 @@ fn dispatch<W: Write + Send + 'static>(
     if line.is_empty() {
         return;
     }
-    Stats::bump(&server.stats.requests);
+    server.metrics.requests.inc();
     match protocol::parse_request(line) {
         Err(e) => write_line(out, &server.protocol_error(&e.message)),
         Ok(Request::Ping(id)) => write_line(out, &pong(&id)),
-        Ok(Request::Stats(id)) => write_line(out, &server.stats_response(&id, pool.depth())),
+        Ok(Request::Stats(id)) => write_line(out, &server.stats_response(&id)),
         Ok(Request::Flight(id)) => write_line(
             out,
             &protocol::render_response(&id, &server.flight.render_body()),
@@ -970,6 +962,9 @@ pub fn serve_listener(
     ));
     for stream in listener.incoming() {
         let stream = stream?;
+        // Responses are whole lines written at once: send each without
+        // waiting to batch it with the next (best effort).
+        let _ = stream.set_nodelay(true);
         let reader = std::io::BufReader::new(stream.try_clone()?);
         let out = Arc::new(Mutex::new(stream));
         let server = Arc::clone(server);

@@ -1,117 +1,29 @@
-//! Server telemetry: lock-free counters plus the `stats` response body.
+//! The `stats` response body, read from the server's registry handles.
 //!
-//! Counters are plain relaxed [`AtomicU64`]s — they are monotone tallies
-//! read for observability, not for synchronization, so torn cross-counter
-//! snapshots (a request counted as received but not yet as completed)
-//! are acceptable and documented in `docs/SERVER.md`.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+//! Every number in the body is a [`ServeMetrics`] counter or gauge (or a
+//! cache/coalescer handle in the same registry) — the values `/metrics`
+//! exposes, not copies. The counters are relaxed atomics: monotone
+//! tallies read for observability, not for synchronization, so torn
+//! cross-counter snapshots (a request counted as received but not yet
+//! as completed) are acceptable and documented in `docs/SERVER.md`.
 
 use crate::cache::CacheSnapshot;
 use crate::coalesce::CoalesceSnapshot;
+use crate::metrics::ServeMetrics;
 
-/// Monotone request/outcome counters. One instance per server, shared
-/// by reference across workers.
-#[derive(Debug)]
-pub struct Stats {
-    /// Request lines received (including malformed ones).
-    pub requests: AtomicU64,
-    /// Compiles answered with a full (non-degraded) result.
-    pub compiles_ok: AtomicU64,
-    /// Compiles answered with a `degraded: true` baseline program.
-    pub compiles_degraded: AtomicU64,
-    /// Compiles answered with an error (parse/lower/search/...).
-    pub compile_errors: AtomicU64,
-    /// Lines rejected before admission (malformed JSON, schema).
-    pub protocol_errors: AtomicU64,
-    /// Requests shed with a retryable `overload` error.
-    pub overload_rejections: AtomicU64,
-    /// Requests rejected because the server is shutting down
-    /// (non-retryable `shutting_down` error).
-    pub shutdown_rejections: AtomicU64,
-    /// Pipeline executions actually started (cache hits and coalesced
-    /// followers do *not* count — this is the denominator stampede
-    /// tests assert on).
-    pub executions: AtomicU64,
-    /// Requests answered by replaying an in-flight leader's result.
-    pub coalesced: AtomicU64,
-    /// Followers whose own deadline expired before their leader
-    /// finished (answered with their own degraded program).
-    pub coalesced_expired: AtomicU64,
-    /// Followers promoted to leader after their leader vanished.
-    pub promotions: AtomicU64,
-    /// Compile jobs that panicked (the worker survives; the request is
-    /// answered with an internal error).
-    pub worker_panics: AtomicU64,
-    /// E-graph arena nodes saturated across all executions (cumulative
-    /// over the GMAs of every non-cached compile).
-    pub egraph_nodes: AtomicU64,
-    /// E-graph storage payload bytes across all executions (arena +
-    /// interned slices + class lists + memo; cumulative like
-    /// `egraph_nodes`, so bytes ÷ nodes is a fleet-wide bytes/node).
-    pub egraph_bytes: AtomicU64,
-    /// Deadline-expired compiles answered with a simulator-verified
-    /// stochastic program harvested from the anytime channel (a full
-    /// `degraded: false` answer instead of the baseline fallback).
-    pub stoke_harvests: AtomicU64,
-    /// Compiles answered by the stochastic engine (full runs, not
-    /// harvests): the request asked for `engine: stochastic`, or
-    /// `auto` fell back after the SAT budget was exhausted.
-    pub stoke_compiles: AtomicU64,
-    /// When the server was started.
-    pub started: Instant,
-}
-
-impl Default for Stats {
-    fn default() -> Stats {
-        Stats {
-            requests: AtomicU64::new(0),
-            compiles_ok: AtomicU64::new(0),
-            compiles_degraded: AtomicU64::new(0),
-            compile_errors: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            overload_rejections: AtomicU64::new(0),
-            shutdown_rejections: AtomicU64::new(0),
-            executions: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            coalesced_expired: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            egraph_nodes: AtomicU64::new(0),
-            egraph_bytes: AtomicU64::new(0),
-            stoke_harvests: AtomicU64::new(0),
-            stoke_compiles: AtomicU64::new(0),
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Stats {
-    /// Increments a counter (convenience for call sites).
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
+impl ServeMetrics {
     /// Renders the `stats` response body (everything after the echoed
-    /// id). `queue_depth` comes from the pool, `cache` from the cache,
-    /// `coalesce` from the coalescer, and `latency` is the pre-rendered
-    /// JSON object from [`crate::metrics::ServeMetrics::latency_json`],
-    /// so one body carries the full picture.
+    /// id): this server's counters, the queue-depth gauge, `cache` from
+    /// the cache, `coalesce` from the coalescer, and the `latency`
+    /// section from [`ServeMetrics::latency_json`], so one body carries
+    /// the full picture.
     ///
     /// Schema v2 = v1 plus the `schema` tag and the `latency` section;
     /// v3 = v2 plus the `stoke` section (anytime harvests and
     /// stochastic-engine compiles), both strictly additive; v4 = v3
     /// minus the `portfolio` section (SAT probes are no longer raced).
     /// The migration notes are in `docs/SERVER.md`.
-    pub fn render_body(
-        &self,
-        queue_depth: u64,
-        cache: &CacheSnapshot,
-        coalesce: &CoalesceSnapshot,
-        latency: &str,
-    ) -> String {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    pub fn stats_body(&self, cache: &CacheSnapshot, coalesce: &CoalesceSnapshot) -> String {
         format!(
             concat!(
                 "\"status\":\"ok\",",
@@ -133,27 +45,28 @@ impl Stats {
                 "\"evictions\":{},\"entries\":{},\"bytes\":{}}},",
                 "\"latency\":{}"
             ),
-            self.started.elapsed().as_millis(),
-            load(&self.requests),
-            load(&self.compiles_ok),
-            load(&self.compiles_degraded),
-            load(&self.compile_errors),
-            load(&self.executions),
-            load(&self.protocol_errors),
-            load(&self.overload_rejections),
-            load(&self.shutdown_rejections),
-            load(&self.worker_panics),
-            queue_depth,
-            load(&self.stoke_harvests),
-            load(&self.stoke_compiles),
-            load(&self.egraph_nodes),
-            load(&self.egraph_bytes),
-            load(&self.egraph_bytes)
-                .checked_div(load(&self.egraph_nodes))
+            self.uptime_ms(),
+            self.requests.get(),
+            self.compiles_ok.get(),
+            self.compiles_degraded.get(),
+            self.compile_errors.get(),
+            self.executions.get(),
+            self.protocol_errors.get(),
+            self.overload_rejections.get(),
+            self.shutdown_rejections.get(),
+            self.worker_panics.get(),
+            self.queue_depth.get(),
+            self.stoke_harvests.get(),
+            self.stoke_compiles.get(),
+            self.egraph_nodes.get(),
+            self.egraph_bytes.get(),
+            self.egraph_bytes
+                .get()
+                .checked_div(self.egraph_nodes.get())
                 .unwrap_or(0),
-            load(&self.coalesced),
-            load(&self.coalesced_expired),
-            load(&self.promotions),
+            self.coalesced.get(),
+            self.coalesced_expired.get(),
+            self.promotions.get(),
             coalesce.inflight,
             coalesce.waiting,
             cache.hits,
@@ -163,7 +76,7 @@ impl Stats {
             cache.evictions,
             cache.entries,
             cache.bytes,
-            latency,
+            self.latency_json(),
         )
     }
 }
@@ -176,14 +89,15 @@ mod tests {
 
     #[test]
     fn stats_body_is_valid_json_with_all_gauges() {
-        let stats = Stats::default();
-        Stats::bump(&stats.requests);
-        Stats::bump(&stats.requests);
-        Stats::bump(&stats.compiles_ok);
-        Stats::bump(&stats.coalesced);
-        Stats::bump(&stats.stoke_harvests);
-        stats.egraph_nodes.fetch_add(10, Ordering::Relaxed);
-        stats.egraph_bytes.fetch_add(720, Ordering::Relaxed);
+        let metrics = ServeMetrics::new();
+        metrics.requests.inc();
+        metrics.requests.inc();
+        metrics.compiles_ok.inc();
+        metrics.coalesced.inc();
+        metrics.stoke_harvests.inc();
+        metrics.egraph_nodes.add(10);
+        metrics.egraph_bytes.add(720);
+        metrics.queue_depth.set(4);
         let cache = CacheSnapshot {
             hits: 3,
             misses: 1,
@@ -197,11 +111,7 @@ mod tests {
             inflight: 2,
             waiting: 5,
         };
-        let latency = crate::metrics::ServeMetrics::new().latency_json();
-        let line = render_response(
-            &RequestId::Num(9),
-            &stats.render_body(4, &cache, &coalesce, &latency),
-        );
+        let line = render_response(&RequestId::Num(9), &metrics.stats_body(&cache, &coalesce));
         let v = json::parse(&line).unwrap();
         assert_eq!(
             v.get("schema").and_then(Json::as_str),

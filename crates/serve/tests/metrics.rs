@@ -1,8 +1,8 @@
-//! Cross-checks between the server's three observability surfaces:
-//! the authoritative [`Stats`] counters, the per-stage/per-outcome
-//! latency histograms, and the flight recorder. They are recorded at
-//! different points by different code — these tests pin the invariants
-//! that keep them mutually consistent.
+//! Cross-checks between the server's observability surfaces: the
+//! `stats` body, the `/metrics` exposition, the per-stage/per-outcome
+//! latency histograms, and the flight recorder. Counters and histograms
+//! are recorded at different points by different code — these tests pin
+//! the invariants that keep them mutually consistent.
 
 use denali_axioms::SaturationLimits;
 use denali_core::Options;
@@ -33,6 +33,16 @@ fn compile_line(id: &str, source: &str, extra: &str) -> String {
     format!(r#"{{"type":"compile","id":"{id}","source":{src}{extra}}}"#)
 }
 
+/// The value of the exposition sample `name` (with its label set, if
+/// any), e.g. `denali_serve_compiles_total{outcome="ok"}`.
+fn sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no sample {name} in:\n{text}"))
+        .parse()
+        .unwrap()
+}
+
 fn count(latency: &Json, section: &str, name: &str) -> u64 {
     latency
         .get(section)
@@ -59,6 +69,7 @@ fn stage_histograms_sum_consistently_with_the_stats_counters() {
     server.handle_line(&compile_line("a", SOURCE, "")).unwrap();
     server.handle_line(&compile_line("b", SOURCE, "")).unwrap();
     server.handle_line(&compile_line("d", "((((", "")).unwrap();
+    server.handle_line("not json").unwrap();
 
     let stats = server.handle_line(r#"{"type":"stats","id":1}"#).unwrap();
     let v = json::parse(&stats).unwrap();
@@ -118,8 +129,70 @@ fn stage_histograms_sum_consistently_with_the_stats_counters() {
         );
     }
 
-    // The exposition over the same registry passes the validator.
-    denali_metrics::validate_exposition(&server.metrics_text()).unwrap();
+    // The exposition over the same registry passes the validator, and
+    // every counter and gauge in the stats body is its sample: both
+    // read the same handles.
+    let text = server.metrics_text();
+    denali_metrics::validate_exposition(&text).unwrap();
+    let field = |path: &str| {
+        path.split('.')
+            .try_fold(&v, |node, key| node.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("missing {path} in:\n{stats}"))
+    };
+    let pairs = [
+        ("requests", "denali_serve_requests_total"),
+        ("compiles.ok", "denali_serve_compiles_total{outcome=\"ok\"}"),
+        (
+            "compiles.degraded",
+            "denali_serve_compiles_total{outcome=\"degraded\"}",
+        ),
+        (
+            "compiles.error",
+            "denali_serve_compiles_total{outcome=\"error\"}",
+        ),
+        ("executions", "denali_serve_executions_total"),
+        ("protocol_errors", "denali_serve_protocol_errors_total"),
+        (
+            "overload_rejections",
+            "denali_serve_overload_rejections_total",
+        ),
+        (
+            "shutdown_rejections",
+            "denali_serve_shutdown_rejections_total",
+        ),
+        ("worker_panics", "denali_serve_worker_panics_total"),
+        ("queue_depth", "denali_serve_queue_depth"),
+        ("stoke.harvests", "denali_serve_stoke_harvests_total"),
+        ("stoke.compiles", "denali_serve_stoke_compiles_total"),
+        ("egraph.nodes", "denali_serve_egraph_nodes_total"),
+        ("egraph.bytes", "denali_serve_egraph_bytes_total"),
+        ("coalesce.coalesced", "denali_serve_coalesced_total"),
+        ("coalesce.expired", "denali_serve_coalesced_expired_total"),
+        ("coalesce.promotions", "denali_serve_promotions_total"),
+        ("coalesce.inflight", "denali_serve_coalesce_inflight"),
+        ("coalesce.waiting", "denali_serve_coalesce_waiting"),
+        ("cache.hits", "denali_serve_cache_hits_total"),
+        ("cache.misses", "denali_serve_cache_misses_total"),
+        ("cache.disk_hits", "denali_serve_cache_disk_hits_total"),
+        (
+            "cache.disk_invalid",
+            "denali_serve_cache_disk_invalid_total",
+        ),
+        ("cache.evictions", "denali_serve_cache_evictions_total"),
+        ("cache.entries", "denali_serve_cache_entries"),
+        ("cache.bytes", "denali_serve_cache_bytes"),
+    ];
+    for (path, name) in pairs {
+        assert_eq!(field(path), sample(&text, name), "{path} vs {name}");
+    }
+    // The sequence above, in counts: six request lines (four compiles,
+    // the malformed line, the stats request itself), one execution that
+    // fed the egraph counters.
+    assert_eq!(field("requests"), 6);
+    assert_eq!(field("protocol_errors"), 1);
+    assert_eq!(field("compiles.degraded"), 1);
+    assert!(field("egraph.nodes") > 0);
 }
 
 #[test]

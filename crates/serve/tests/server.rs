@@ -359,3 +359,49 @@ fn ping_stats_and_eof_shutdown_over_a_transport() {
         .expect("compile response");
     assert_eq!(compile.get("status").and_then(Json::as_str), Some("ok"));
 }
+
+/// A transport that records every `write` call it receives.
+struct RecordingWriter(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl std::io::Write for RecordingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn each_response_line_is_one_write() {
+    // A line and its newline in two writes make a TCP client wait for
+    // its delayed ACK before the newline arrives.
+    let server = Arc::new(test_server());
+    let pool = Pool::new(1, 8);
+    let writes = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(Mutex::new(RecordingWriter(Arc::clone(&writes))));
+    let input = format!(
+        "{}\n{}\nnot json\n{}\n",
+        r#"{"type":"ping","id":1}"#,
+        r#"{"type":"stats","id":2}"#,
+        compile_line("c", SOURCE, ""),
+    );
+    serve_lines(&server, &pool, input.as_bytes(), &out).unwrap();
+    drop(pool);
+
+    let writes = writes.lock().unwrap();
+    let sizes: Vec<usize> = writes.iter().map(Vec::len).collect();
+    assert_eq!(
+        writes.len(),
+        4,
+        "one write per response, got sizes {sizes:?}"
+    );
+    for write in writes.iter() {
+        let text = std::str::from_utf8(write).unwrap();
+        assert!(text.ends_with('\n'), "{text:?}");
+        assert_eq!(text.matches('\n').count(), 1, "{text:?}");
+        json::parse(text.trim_end()).unwrap();
+    }
+}

@@ -247,7 +247,7 @@ fn follower_deadline_expires_independently_of_its_leader() {
 /// leader's delivery.
 #[test]
 fn panicking_leader_promotes_a_follower_that_answers_the_rest() {
-    let coalescer = Arc::new(Coalescer::new());
+    let coalescer = Arc::new(Coalescer::new(&denali_metrics::Registry::new()));
     let pool = Pool::new(1, 4);
 
     let Join::Leader(guard) = coalescer.join("deadbeef") else {

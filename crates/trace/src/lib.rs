@@ -433,8 +433,8 @@ fn own_fields(fields: Vec<Field>) -> Vec<OwnedField> {
 /// Guard for an entered span. Exits (recording the `End`) on
 /// [`Span::finish`]/[`Span::finish_fields`] or on drop; either way the
 /// guard returns/measures the span's wall-clock milliseconds, which
-/// works even on a disabled tracer — so one guard can feed both the
-/// trace and a coarse aggregate like `denali_core::Telemetry`.
+/// works even on a disabled tracer — so one guard feeds both the trace
+/// and a caller's own timing field (`CompiledGma::match_ms`, say).
 pub struct Span {
     inner: Option<Arc<Inner>>,
     id: Option<u64>,

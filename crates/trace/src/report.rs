@@ -1,6 +1,6 @@
 //! Summary rendering for a recorded (or re-parsed) trace: the
-//! `denali trace-report` subcommand and the CLI's `// phases:` line on
-//! non-success exits both come from here.
+//! `denali trace-report` subcommand and the CLI's `// phases:` lines
+//! both come from here.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -112,15 +112,32 @@ fn span_ids_named(records: &[Record], name: &str) -> Vec<u64> {
         .collect()
 }
 
-/// Renders the compile's phase split in the same shape as
-/// `denali_core::Telemetry`'s `Display` (`match 12.3 ms, search 5.0 ms`):
+/// Renders the compile's phase split (`match 12.3 ms, search 5.0 ms`):
 /// the durations of every direct child span of each `gma` span,
 /// aggregated by name in first-seen order. Returns `"(no phases)"` when
 /// the trace has no such spans (e.g. a parse error before the pipeline
-/// started).
+/// started). The CLI prints it as the `// phases:` line, per compiled
+/// GMA under `--probes` and for the phases reached on a failed compile.
 pub fn phase_line(records: &[Record]) -> String {
+    phases_under(
+        records,
+        &closed_spans(records),
+        &span_ids_named(records, "gma"),
+    )
+}
+
+/// [`phase_line`] for each `gma` span on its own, in record order: one
+/// line per compiled GMA.
+pub fn gma_phase_lines(records: &[Record]) -> Vec<String> {
     let spans = closed_spans(records);
-    let roots: Vec<u64> = span_ids_named(records, "gma");
+    span_ids_named(records, "gma")
+        .into_iter()
+        .map(|root| phases_under(records, &spans, &[root]))
+        .collect()
+}
+
+/// The phase split over the direct children of the `roots` spans.
+fn phases_under(records: &[Record], spans: &HashMap<u64, ClosedSpan>, roots: &[u64]) -> String {
     let mut order: Vec<String> = Vec::new();
     let mut total: HashMap<String, f64> = HashMap::new();
     for r in records {
@@ -393,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_line_matches_telemetry_shape() {
+    fn phase_line_lists_gma_children_in_order() {
         let line = phase_line(&sample_trace());
         assert!(line.starts_with("match "), "got: {line}");
         assert!(line.contains(", search "), "got: {line}");
@@ -403,6 +420,24 @@ mod tests {
     #[test]
     fn phase_line_without_pipeline_spans() {
         assert_eq!(phase_line(&[]), "(no phases)");
+        assert!(gma_phase_lines(&[]).is_empty());
+    }
+
+    #[test]
+    fn gma_phase_lines_split_the_trace_per_gma() {
+        let t = Tracer::new();
+        for phases in [&["match", "search"][..], &["match", "stoke"][..]] {
+            let gma = t.span("gma");
+            for &phase in phases {
+                t.span(phase).finish();
+            }
+            gma.finish();
+        }
+        let lines = gma_phase_lines(&t.records());
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with("match ") && lines[0].contains(", search "));
+        assert!(lines[1].starts_with("match ") && lines[1].contains(", stoke "));
+        assert!(!lines[0].contains("stoke") && !lines[1].contains("search"));
     }
 
     #[test]

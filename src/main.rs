@@ -204,6 +204,9 @@ fn parse_cli() -> Cli {
     }
     if cli.verbose {
         cli.show_probes = true;
+    }
+    // The `// phases:` lines are rendered from the trace.
+    if cli.show_probes {
         cli.options.trace = true;
     }
     cli
@@ -478,7 +481,12 @@ fn main() -> ExitCode {
         }
     };
 
-    for compiled in &result.gmas {
+    let phase_lines = if cli.show_probes {
+        report::gma_phase_lines(&denali.tracer().records())
+    } else {
+        Vec::new()
+    };
+    for (i, compiled) in result.gmas.iter().enumerate() {
         println!(
             "// {}: {} cycles ({} instructions){}",
             compiled.gma.name,
@@ -501,7 +509,9 @@ fn main() -> ExitCode {
                 compiled.matcher.classes,
                 compiled.solver_ms()
             );
-            println!("//   phases: {}", compiled.telemetry);
+            if let Some(line) = phase_lines.get(i) {
+                println!("//   phases: {line}");
+            }
         }
         if cli.verbose {
             for (i, round) in compiled.matcher.rounds.iter().enumerate() {

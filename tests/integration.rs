@@ -296,3 +296,47 @@ fn cli_trace_round_trip() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cli_probes_prints_a_phase_line_from_the_trace() {
+    // `--probes` renders its `phases:` line from the trace spans; the
+    // in-memory tracer it turns on must not change the program.
+    let exe = env!("CARGO_BIN_EXE_denali");
+    let src = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/figure2.dnl");
+    let run = |args: &[&str]| -> String {
+        let out = std::process::Command::new(exe)
+            .args(args)
+            .env_remove("DENALI_TRACE")
+            .env("DENALI_THREADS", "1")
+            .output()
+            .expect("denali binary runs");
+        assert!(out.status.success(), "denali {args:?} failed");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let program = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.starts_with("//"))
+            .map(str::to_owned)
+            .collect()
+    };
+    let plain = run(&[src]);
+    let probed = run(&[src, "--probes"]);
+    assert_eq!(
+        program(&plain),
+        program(&probed),
+        "--probes changed the program"
+    );
+    let phases: Vec<&str> = probed
+        .lines()
+        .filter(|l| l.starts_with("//   phases: "))
+        .collect();
+    assert_eq!(phases.len(), 1, "one phase line per GMA:\n{probed}");
+    let line = phases[0];
+    assert!(
+        line.starts_with("//   phases: match ")
+            && line.contains(" ms, enumerate ")
+            && line.contains(" ms, search ")
+            && line.ends_with(" ms"),
+        "{line}"
+    );
+}
