@@ -24,8 +24,8 @@
 //! *verification pass* — when a delta round comes back idle, the round
 //! re-matches everything before declaring quiescence, so the paper's
 //! "quiescent state" guarantee never rests on the cone computation.
-//! `DENALI_DELTA_MATCH=0` (or [`SaturationLimits::delta_match`]) forces
-//! full re-matching every round.
+//! [`SaturationLimits::delta_match`] `= false` forces full re-matching
+//! every round (the reference the differential tests compare against).
 
 use std::collections::{HashMap, HashSet};
 
@@ -75,10 +75,10 @@ pub struct SaturationLimits {
     pub threads: usize,
     /// Restrict each round's top-level candidate scan to the classes
     /// changed since the previous round (plus a final full verification
-    /// pass at quiescence). On by default; `DENALI_DELTA_MATCH=0`
-    /// disables it, forcing a full re-match every round. Either setting
-    /// produces byte-identical results — this knob only exists for
-    /// differential testing and benchmarking.
+    /// pass at quiescence). On by default; `false` forces a full re-match
+    /// every round. Either setting produces byte-identical results — the
+    /// full re-match only exists as the reference for differential tests
+    /// and benchmarks.
     pub delta_match: bool,
     /// Hard ceiling on the number of e-classes the e-graph may allocate
     /// (see [`denali_egraph::EGraph::set_class_capacity`]). Unlike
@@ -100,17 +100,9 @@ impl Default for SaturationLimits {
             pow2_facts: true,
             max_structural_growth: 4000,
             threads: 1,
-            delta_match: env_delta_match(),
+            delta_match: true,
             max_classes: u32::MAX as usize,
         }
-    }
-}
-
-/// `DENALI_DELTA_MATCH` (`0`/`false`/`off` disable), defaulting to on.
-fn env_delta_match() -> bool {
-    match std::env::var("DENALI_DELTA_MATCH") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-        Err(_) => true,
     }
 }
 

@@ -10,9 +10,8 @@
 //!    timestamps (compared via [`denali_trace::normalized`]).
 //!
 //! Every option that reads an environment variable in
-//! `Options::default()` (threads, incremental, delta matching, trace)
-//! is pinned explicitly, so these tests mean the same thing on every
-//! CI leg.
+//! `Options::default()` (threads, incremental, trace) is pinned
+//! explicitly, so these tests mean the same thing on every CI leg.
 
 use denali_core::{CompileResult, Denali, Options};
 use denali_trace::{jsonl, normalized, Record};
@@ -31,7 +30,6 @@ fn pinned(threads: usize, incremental: bool, trace: bool) -> Options {
         ..Options::default()
     };
     options.saturation.threads = 1;
-    options.saturation.delta_match = true;
     options
 }
 

@@ -197,29 +197,49 @@ pub fn render(records: &[Record]) -> String {
     }
 
     // -- saturation rounds -------------------------------------------
-    let rounds: Vec<&ClosedSpan> = records
+    let rounds: Vec<(u64, &ClosedSpan)> = records
         .iter()
         .filter_map(|r| match r {
-            Record::Begin { id, name, .. } if name == "saturate.round" => spans.get(id),
+            Record::Begin { id, name, .. } if name == "saturate.round" => {
+                spans.get(id).map(|span| (*id, span))
+            }
             _ => None,
         })
         .collect();
     if !rounds.is_empty() {
+        // A round's e-matching time: its `ematch.chunk` events'
+        // `match_us`, summed over chunks (CPU time, so with several
+        // match threads it can exceed the round's wall time).
+        let mut ematch_us: HashMap<u64, u64> = HashMap::new();
+        for r in records {
+            if let Record::Event {
+                span: Some(span),
+                name,
+                fields,
+                ..
+            } = r
+            {
+                if name == "ematch.chunk" {
+                    *ematch_us.entry(*span).or_insert(0) += get_u64(fields, "match_us");
+                }
+            }
+        }
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9}",
-            "round", "phase", "scanned", "skipped", "instances", "ms"
+            "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9} {:>9}",
+            "round", "phase", "scanned", "skipped", "instances", "ematch_ms", "ms"
         );
-        for span in rounds {
+        for (id, span) in rounds {
             let _ = writeln!(
                 out,
-                "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9.2}",
+                "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9.2} {:>9.2}",
                 get_u64(&span.fields, "round"),
                 get_u64(&span.fields, "phase"),
                 get_u64(&span.fields, "scanned"),
                 get_u64(&span.fields, "skipped"),
                 get_u64(&span.fields, "instances"),
+                ematch_us.get(&id).copied().unwrap_or(0) as f64 / 1e3,
                 span.dur_us as f64 / 1e3,
             );
         }
@@ -448,6 +468,38 @@ mod tests {
         assert!(text.contains("comm-add"), "got:\n{text}");
         assert!(text.contains("unsat"), "got:\n{text}");
         assert!(text.contains("1 probes"), "got:\n{text}");
+    }
+
+    #[test]
+    fn rounds_table_sums_each_rounds_ematch_chunks() {
+        let t = Tracer::new();
+        let chunk = |us: u64| {
+            let mut buffer = t.local();
+            buffer.event("ematch.chunk", || vec![field("match_us", us)]);
+            buffer
+        };
+        for (round, chunks) in [(1u64, vec![1500u64, 2500]), (2, vec![250])] {
+            let span = t.span_fields("saturate.round", vec![field("round", round)]);
+            t.splice(chunks.into_iter().map(&chunk));
+            span.finish();
+        }
+        // A chunk outside any round is not attributed to one.
+        t.splice([chunk(9000)]);
+        let text = render(&t.records());
+        let header = text.lines().find(|l| l.starts_with("round")).unwrap();
+        let column = header
+            .split_whitespace()
+            .position(|c| c == "ematch_ms")
+            .expect("ematch_ms column");
+        let ematch_ms = |round: &str| -> String {
+            let row = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(round))
+                .unwrap();
+            row.split_whitespace().nth(column).unwrap().to_owned()
+        };
+        assert_eq!(ematch_ms("1"), "4.00", "got:\n{text}");
+        assert_eq!(ematch_ms("2"), "0.25", "got:\n{text}");
     }
 
     #[test]

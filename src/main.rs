@@ -4,7 +4,6 @@
 //! denali FILE.dnl [--proc NAME] [--machine ev6|ev6-unclustered|single-issue|ia64like]
 //!                 [--solver cdcl|dpll] [--engine sat|stochastic|auto]
 //!                 [--threads N] [--load-latency N] [--max-cycles N]
-//!                 [--delta-match|--no-delta-match]
 //!                 [--probes] [-v|--verbose] [--trace] [--trace-out FILE]
 //!                 [--trace-format jsonl|chrome] [--dump-dimacs DIR]
 //!                 [--simulate name=value ...]
@@ -55,7 +54,6 @@ fn usage() -> ! {
         "usage: denali FILE.dnl [--proc NAME] [--machine ev6|ev6-unclustered|single-issue|ia64like]\n\
          \x20                   [--solver cdcl|dpll] [--engine sat|stochastic|auto]\n\
          \x20                   [--threads N] [--load-latency N] [--max-cycles N]\n\
-         \x20                   [--delta-match|--no-delta-match]\n\
          \x20                   [--probes] [-v|--verbose] [--trace] [--trace-out FILE]\n\
          \x20                   [--trace-format jsonl|chrome] [--allocate] [--dump-dimacs DIR]\n\
          \x20                   [--simulate name=value ...]\n\
@@ -71,7 +69,6 @@ fn usage() -> ! {
          \x20                   (MCMC over instruction sketches), or auto (SAT with stochastic\n\
          \x20                   fallback + anytime candidates under deadlines; also DENALI_ENGINE)\n\
          \x20 --threads N       worker threads for e-matching (0 = all CPUs, 1 = serial)\n\
-         \x20 --no-delta-match  re-match every axiom against the whole e-graph each saturation round\n\
          \x20 --trace           collect a structured trace (also DENALI_TRACE=1)\n\
          \x20 --trace-out FILE  write the trace to FILE (implies --trace; jsonl unless --trace-format chrome)\n\
          \x20 -v, --verbose     per-round matcher detail + probe log (implies --trace and --probes)\n\
@@ -155,8 +152,6 @@ fn parse_cli() -> Cli {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--delta-match" => cli.options.saturation.delta_match = true,
-            "--no-delta-match" => cli.options.saturation.delta_match = false,
             "--probes" => cli.show_probes = true,
             "-v" | "--verbose" => cli.verbose = true,
             "--trace" => cli.options.trace = true,

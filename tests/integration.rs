@@ -211,7 +211,6 @@ fn cli_trace_round_trip() {
             // the comparison.
             .env_remove("DENALI_TRACE")
             .env("DENALI_THREADS", "1")
-            .env("DENALI_DELTA_MATCH", "1")
             .output()
             .expect("denali binary runs");
         assert!(
