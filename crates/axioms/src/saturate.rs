@@ -38,11 +38,6 @@ use denali_trace::{field, Tracer};
 
 use crate::axiom::{Axiom, AxiomBody, AxiomPriority};
 
-/// Candidate classes handed to one parallel work item. Chunks split
-/// *between* classes, so per-class dedup and result order are unaffected;
-/// the number only balances uneven per-class match costs across threads.
-const MATCH_CHUNK: usize = 64;
-
 /// Budgets that keep the matcher from running forever (the paper's
 /// caveat: heuristics may stop it before true quiescence, which is one
 /// reason Denali's output is "near-optimal" rather than "optimal").
@@ -67,12 +62,6 @@ pub struct SaturationLimits {
     /// principal "stop the matcher" heuristic and the main reason output
     /// is "near-optimal" rather than "optimal".
     pub max_structural_growth: usize,
-    /// Threads for the read-only e-matching pass of every round (`0`
-    /// means one per available CPU). The e-graph is frozen while axioms
-    /// are matched, so candidate chunks can match concurrently; instances
-    /// are then applied serially in axiom order, making the result
-    /// byte-identical to the serial path at any thread count.
-    pub threads: usize,
     /// Restrict each round's top-level candidate scan to the classes
     /// changed since the previous round (plus a final full verification
     /// pass at quiescence). On by default; `false` forces a full re-match
@@ -99,7 +88,6 @@ impl Default for SaturationLimits {
             max_structural_per_round: 1500,
             pow2_facts: true,
             max_structural_growth: 4000,
-            threads: 1,
             delta_match: true,
             max_classes: u32::MAX as usize,
         }
@@ -277,7 +265,6 @@ fn saturate_phase(
         .map(|&(_, p)| pattern_depth(p))
         .max()
         .unwrap_or(0);
-    let threads = denali_par::resolve_threads(limits.threads);
 
     egraph.rebuild()?;
 
@@ -385,7 +372,6 @@ fn saturate_phase(
             &body_vars,
             cone.as_ref(),
             limits,
-            threads,
             &mut applied,
             &mut stats,
             tracer,
@@ -444,7 +430,6 @@ fn saturate_phase(
                     &body_vars,
                     None,
                     limits,
-                    threads,
                     &mut applied,
                     &mut vstats,
                     tracer,
@@ -531,7 +516,6 @@ fn match_and_replay(
     body_vars: &[Vec<Symbol>],
     cone: Option<&HashSet<ClassId>>,
     limits: &SaturationLimits,
-    threads: usize,
     applied: &mut HashMap<usize, HashSet<Key>>,
     stats: &mut RoundStats,
     tracer: &Tracer,
@@ -542,99 +526,62 @@ fn match_and_replay(
     let mut axiom_matches = vec![0u64; axioms.len()];
     let mut axiom_applied = vec![0u64; axioms.len()];
 
-    // Top-level candidates per pattern, delta-filtered. Filtering a
-    // sorted candidate list keeps relative order, so the match stream is
-    // a subsequence of the full pass's stream.
-    let mut cand_lists: Vec<Vec<ClassId>> = Vec::with_capacity(patterns.len());
-    for &(axiom_idx, pattern) in patterns {
-        let all = candidates(egraph, pattern);
-        match cone {
-            None => {
-                stats.scanned += all.len();
-                axiom_scanned[axiom_idx] += all.len() as u64;
-                cand_lists.push(all);
-            }
-            Some(cone) => {
-                let kept: Vec<ClassId> = all.iter().copied().filter(|c| cone.contains(c)).collect();
-                stats.scanned += kept.len();
-                stats.skipped += all.len() - kept.len();
-                axiom_scanned[axiom_idx] += kept.len() as u64;
-                cand_lists.push(kept);
-            }
+    // Collect this round's matches, one pattern at a time in work
+    // order. Each pattern's top-level candidates are delta-filtered;
+    // filtering a sorted candidate list keeps relative order, so the
+    // match stream is a subsequence of the full pass's stream. The
+    // e-graph is only read here: body-variable and side-condition
+    // filtering and the canonical dedup keys need no mutation, and the
+    // stateful parts are replayed below.
+    let mut per_pattern: Vec<Vec<(Subst, Key)>> = Vec::with_capacity(patterns.len());
+    for (pi, &(axiom_idx, pattern)) in patterns.iter().enumerate() {
+        let mut cands = candidates(egraph, pattern);
+        if let Some(cone) = cone {
+            let all = cands.len();
+            cands.retain(|c| cone.contains(c));
+            stats.skipped += all - cands.len();
         }
-    }
+        stats.scanned += cands.len();
+        axiom_scanned[axiom_idx] += cands.len() as u64;
 
-    // Collect matches for this round. The e-graph is frozen here, so the
-    // e-matching pass is a pure read-only fan-out: each candidate chunk
-    // of each (axiom, pattern) pair is matched concurrently (including
-    // body-variable/side-condition filtering and canonical-key
-    // computation, which only read the e-graph), and the results come
-    // back in work order — chunks never split a class, so concatenating
-    // them per pattern reproduces the unchunked stream. The stateful
-    // parts — the cross-round `applied` dedup, the per-round instance
-    // budget, and the structural queues — are then replayed serially in
-    // exactly the order the serial implementation uses, so the applied
-    // instance set is byte-identical at any thread count.
-    let work: Vec<(usize, std::ops::Range<usize>)> = cand_lists
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, list)| {
-            denali_par::chunk_ranges(list.len(), MATCH_CHUNK)
-                .into_iter()
-                .map(move |r| (pi, r))
-        })
-        .collect();
-    let frozen: &EGraph = egraph;
-    let chunk_results: Vec<(Vec<(Subst, Key)>, denali_trace::LocalBuffer)> =
-        denali_par::map_indexed(threads, &work, |_, (pi, range)| {
-            let mut buffer = tracer.local();
-            let chunk_start = std::time::Instant::now();
-            let (axiom_idx, pattern) = patterns[*pi];
-            let axiom = &axioms[axiom_idx];
-            let body_vars = &body_vars[axiom_idx];
-            let mut out = Vec::new();
-            for (_, subst) in ematch_classes(frozen, pattern, &cand_lists[*pi][range.clone()]) {
-                if !body_vars.iter().all(|&v| subst.contains(v)) {
-                    continue; // pattern does not bind every body variable
-                }
-                if let Some(cond) = &axiom.condition {
-                    let values: Option<Vec<u64>> = cond
-                        .vars
-                        .iter()
-                        .map(|&v| subst.get(v).and_then(|c| frozen.constant(c)))
-                        .collect();
-                    match values {
-                        Some(vs) if (cond.pred)(&vs) => {}
-                        _ => continue,
-                    }
-                }
-                // Bindings iterate in sorted variable order, so the key
-                // needs no sort.
-                let key: Key = subst.iter().map(|(v, c)| (v, frozen.find(c))).collect();
-                out.push((subst, key));
+        let match_start = std::time::Instant::now();
+        let axiom = &axioms[axiom_idx];
+        let body_vars = &body_vars[axiom_idx];
+        let mut out = Vec::new();
+        for (_, subst) in ematch_classes(egraph, pattern, &cands) {
+            if !body_vars.iter().all(|&v| subst.contains(v)) {
+                continue; // pattern does not bind every body variable
             }
-            buffer.event("ematch.chunk", || {
+            if let Some(cond) = &axiom.condition {
+                let values: Option<Vec<u64>> = cond
+                    .vars
+                    .iter()
+                    .map(|&v| subst.get(v).and_then(|c| egraph.constant(c)))
+                    .collect();
+                match values {
+                    Some(vs) if (cond.pred)(&vs) => {}
+                    _ => continue,
+                }
+            }
+            // Bindings iterate in sorted variable order, so the key
+            // needs no sort.
+            let key: Key = subst.iter().map(|(v, c)| (v, egraph.find(c))).collect();
+            out.push((subst, key));
+        }
+        if !cands.is_empty() {
+            tracer.event("ematch.chunk", || {
                 vec![
-                    field("axiom", axioms[axiom_idx].name.clone()),
-                    field("pattern", *pi),
-                    field("candidates", range.len()),
+                    field("axiom", axiom.name.clone()),
+                    field("pattern", pi),
+                    field("candidates", cands.len()),
                     field("matches", out.len()),
-                    field("match_us", chunk_start.elapsed().as_micros() as u64),
+                    field("match_us", match_start.elapsed().as_micros() as u64),
                 ]
             });
-            (out, buffer)
-        });
-    // Buffers splice in work order — the order chunks were *created*,
-    // not the order threads finished them — so the event stream is
-    // identical at every thread count.
-    let mut per_pattern: Vec<Vec<(Subst, Key)>> = vec![Vec::new(); patterns.len()];
-    let mut buffers = Vec::with_capacity(chunk_results.len());
-    for ((pi, _), (result, buffer)) in work.into_iter().zip(chunk_results) {
-        axiom_matches[patterns[pi].0] += result.len() as u64;
-        per_pattern[pi].extend(result);
-        buffers.push(buffer);
+        }
+        axiom_matches[axiom_idx] += out.len() as u64;
+        per_pattern.push(out);
     }
-    tracer.splice(buffers);
 
     // Serial replay: budget accounting and deduplication in axiom
     // order. Structural (associativity-style) instances are budgeted
@@ -783,6 +730,7 @@ pub fn class_ops(egraph: &EGraph, class: ClassId) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::axiom::Axiom;
+    use denali_trace::{Record, Value};
 
     fn pat(s: &str, vars: &[&str]) -> Term {
         let vars: Vec<Symbol> = vars.iter().map(|v| Symbol::intern(v)).collect();
@@ -923,6 +871,38 @@ mod tests {
         let last = report.rounds.last().unwrap();
         assert!(last.verification && last.instances == 0);
         assert!(report.skipped_candidates > 0);
+    }
+
+    #[test]
+    fn each_pattern_is_one_ematch_chunk_per_round() {
+        // 100 candidate roots for one pattern: the round e-matches them
+        // in one pass and records one event with the full count.
+        let mut eg = EGraph::new();
+        for i in 0..100 {
+            eg.add_term(&Term::call("f", vec![Term::leaf(format!("x{i}"))]))
+                .unwrap();
+        }
+        let ax = Axiom::equality("f-g", &["a"], pat("(f a)", &["a"]), pat("(g a)", &["a"]));
+        let tracer = Tracer::new();
+        saturate_traced(&mut eg, &[ax], &limits(true), &tracer).unwrap();
+        let records = tracer.records();
+        let first_round = records
+            .iter()
+            .find_map(|r| match r {
+                Record::Begin { id, name, .. } if name == "saturate.round" => Some(*id),
+                _ => None,
+            })
+            .unwrap();
+        let chunks: Vec<&Record> = records
+            .iter()
+            .filter(|r| {
+                matches!(r, Record::Event { span: Some(s), name, .. }
+                    if *s == first_round && name == "ematch.chunk")
+            })
+            .collect();
+        assert_eq!(chunks.len(), 1, "{chunks:?}");
+        assert_eq!(chunks[0].get("candidates"), Some(&Value::U64(100)));
+        assert_eq!(chunks[0].get("matches"), Some(&Value::U64(100)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential equivalence of delta-driven and full re-matching:
 //! saturation must apply the identical instance sequence — and therefore
 //! build a byte-identical e-graph — whether each round re-matches the
-//! whole e-graph or only the dirty cone, at any thread count.
+//! whole e-graph or only the dirty cone.
 //!
 //! Class ids are assigned in insertion order, so the per-class Debug
 //! snapshot pins not just the final shape but the *order* instances were
@@ -16,13 +16,12 @@ use denali_egraph::{ClassId, EGraph};
 use denali_prng::{forall, Rng};
 use denali_term::{sexpr, Term};
 
-fn limits(delta: bool, threads: usize) -> SaturationLimits {
+fn limits(delta: bool) -> SaturationLimits {
     SaturationLimits {
         max_iterations: 6,
         max_nodes: 3_000,
         max_structural_per_round: 300,
         max_structural_growth: 800,
-        threads,
         delta_match: delta,
         ..SaturationLimits::default()
     }
@@ -102,13 +101,11 @@ fn random_term(rng: &mut Rng, depth: usize) -> Term {
 }
 
 #[test]
-fn delta_matches_full_on_random_terms_at_1_and_4_threads() {
+fn delta_matches_full_on_random_terms() {
     let axioms = standard_axioms();
     forall("delta_matches_full_on_random_terms", 24, |rng| {
         let term = random_term(rng, 3);
-        for threads in [1, 4] {
-            assert_equivalent(&term, &axioms, &limits(false, 1), &limits(true, threads));
-        }
+        assert_equivalent(&term, &axioms, &limits(false), &limits(true));
     });
 }
 
@@ -129,15 +126,11 @@ fn delta_matches_full_across_builtin_axiom_sets() {
     for (name, axioms) in &sets {
         for src in fixed {
             let term = Term::from_sexpr(&sexpr::parse_one(src).unwrap(), &[]).unwrap();
-            for threads in [1, 4] {
-                let full = limits(false, 1);
-                let delta = limits(true, threads);
-                let (fsnap, _, freport) = run(&term, axioms, &full);
-                let (dsnap, _, dreport) = run(&term, axioms, &delta);
-                assert_eq!(fsnap, dsnap, "axiom set {name}, term {src}");
-                assert_eq!(freport.instances, dreport.instances, "{name}/{src}");
-                assert_eq!(freport.iterations, dreport.iterations, "{name}/{src}");
-            }
+            let (fsnap, _, freport) = run(&term, axioms, &limits(false));
+            let (dsnap, _, dreport) = run(&term, axioms, &limits(true));
+            assert_eq!(fsnap, dsnap, "axiom set {name}, term {src}");
+            assert_eq!(freport.instances, dreport.instances, "{name}/{src}");
+            assert_eq!(freport.iterations, dreport.iterations, "{name}/{src}");
         }
     }
 }
@@ -153,7 +146,7 @@ fn delta_matches_full_under_tight_budgets() {
         let full = SaturationLimits {
             max_instances_per_round: 1 + rng.below(40) as usize,
             max_structural_per_round: 1 + rng.below(20) as usize,
-            ..limits(false, 1)
+            ..limits(false)
         };
         let delta = SaturationLimits {
             delta_match: true,

@@ -4,21 +4,10 @@
 //! code path the stdio/TCP transports use, minus the admission pool.
 
 use denali_bench::harness::Criterion;
-use denali_bench::{bench_threads, programs};
-use denali_core::Options;
+use denali_bench::programs;
 use denali_serve::{Server, ServerConfig};
 use denali_trace::json;
 use std::hint::black_box;
-
-fn config() -> ServerConfig {
-    ServerConfig {
-        base: Options {
-            threads: bench_threads(),
-            ..Options::default()
-        },
-        ..ServerConfig::default()
-    }
-}
 
 fn compile_line(source: &str, extra: &str) -> String {
     let mut src = String::new();
@@ -33,14 +22,14 @@ fn bench(c: &mut Criterion) {
     // parse / lower / saturate / search pipeline.
     c.bench_function("e5s/cold", |b| {
         b.iter(|| {
-            let server = Server::new(config()).unwrap();
+            let server = Server::new(ServerConfig::default()).unwrap();
             black_box(server.handle_line(&line).unwrap())
         })
     });
 
     // Warm: one server, prewarmed once; every iteration replays the
     // cached response bytes.
-    let server = Server::new(config()).unwrap();
+    let server = Server::new(ServerConfig::default()).unwrap();
     let cold = server.handle_line(&line).unwrap();
     c.bench_function("e5s/warm", |b| {
         b.iter(|| black_box(server.handle_line(&line).unwrap()))
@@ -54,7 +43,7 @@ fn bench(c: &mut Criterion) {
     // Degraded: an already-expired deadline, on a separate server so
     // the warm cache cannot answer first. Degraded results are never
     // cached, so every iteration runs the baseline fallback.
-    let fallback = Server::new(config()).unwrap();
+    let fallback = Server::new(ServerConfig::default()).unwrap();
     let late = compile_line(programs::FIGURE2, r#","deadline_ms":0"#);
     c.bench_function("e5s/degraded", |b| {
         b.iter(|| black_box(fallback.handle_line(&late).unwrap()))

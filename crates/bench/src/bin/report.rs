@@ -421,13 +421,7 @@ fn e5_serve() {
         "compilation server: cold / warm / degraded",
         "persistent server amortizes the paper's repeated-invocation workload (§1, §6)",
     );
-    let config = ServerConfig {
-        base: Options {
-            threads: denali_bench::bench_threads(),
-            ..Options::default()
-        },
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig::default();
     let server = Server::new(config.clone()).unwrap();
     // Degraded requests go to a second server so the first one's warm
     // cache cannot answer them (a hit satisfies any deadline).
@@ -580,7 +574,6 @@ fn e7_checksum() {
     ] {
         let denali = Denali::new(Options {
             pipeline_loads: pipeline,
-            threads: denali_bench::bench_threads(),
             ..Options::default()
         });
         let result = denali
@@ -670,7 +663,6 @@ fn e8_extras() {
     // the DPLL engine must agree with CDCL on a small problem.
     let dpll = Denali::new(Options {
         solver: SolverChoice::Dpll,
-        threads: denali_bench::bench_threads(),
         ..Options::default()
     });
     let via_dpll = dpll.compile_source(programs::LCP2).unwrap();
@@ -695,7 +687,6 @@ fn a1_ablations() {
                 max_structural_growth: growth,
                 ..denali_axioms::SaturationLimits::default()
             },
-            threads: denali_bench::bench_threads(),
             ..Options::default()
         });
         let t = Instant::now();
@@ -720,7 +711,6 @@ fn a1_ablations() {
     ] {
         let denali = Denali::new(Options {
             machine,
-            threads: denali_bench::bench_threads(),
             ..Options::default()
         });
         let result = denali
@@ -747,7 +737,6 @@ fn r1_retargeting() {
     for (name, machine) in [("ev6", Machine::ev6()), ("ia64like", Machine::ia64like())] {
         let denali = Denali::new(Options {
             machine,
-            threads: denali_bench::bench_threads(),
             ..Options::default()
         });
         for (label, src) in [

@@ -3,8 +3,8 @@
 //! the baseline and best verified cycle counts plus the full best-cost
 //! trajectory (proposal index, cycles). The chain is a pure function of
 //! (machine, sketch, rules, seed), so the output is byte-deterministic
-//! across runs and thread counts — CI validates the committed
-//! `BENCH_stoke.json` against a fresh run.
+//! across runs — CI validates the committed `BENCH_stoke.json` against
+//! a fresh run.
 //!
 //! The binary asserts the headline invariant itself: on at least one
 //! fixture the chain strictly beats the greedy baseline (byteswap4:

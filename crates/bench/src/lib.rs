@@ -254,21 +254,7 @@ pub fn check_compiled(
     }
 }
 
-/// Worker-thread count for benches and the report binary: the
-/// `DENALI_THREADS` environment variable (`0` = all CPUs), defaulting
-/// to the serial pipeline. Results are identical at every setting.
-pub fn bench_threads() -> usize {
-    std::env::var("DENALI_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// Default pipeline used by benches and the report binary. Honors
-/// [`bench_threads`].
+/// Default pipeline used by benches and the report binary.
 pub fn default_denali() -> Denali {
-    Denali::new(Options {
-        threads: bench_threads(),
-        ..Options::default()
-    })
+    Denali::new(Options::default())
 }

@@ -45,12 +45,9 @@ pub struct Options {
     /// Automatically software-pipeline loop loads (the Figure 6 hand
     /// transformation, mechanized; the paper's unimplemented design).
     pub pipeline_loads: bool,
-    /// Worker threads for parallel e-matching during saturation: `1` is
-    /// the serial matcher, `0` means one thread per available CPU.
-    /// Results are byte-identical at every setting. Any value other
-    /// than `1` overrides [`SaturationLimits::threads`]. The SAT search
-    /// is serial at every setting. Defaults to the `DENALI_THREADS`
-    /// environment variable, else `1`.
+    /// An execution hint with no effect: the pipeline is serial.
+    /// Kept so existing callers still build; never part of the
+    /// compilation fingerprint.
     pub threads: usize,
     /// Reuse one persistent CDCL solver across the search's cycle
     /// budgets via assumption probing (the default). `false` selects
@@ -83,7 +80,7 @@ pub struct Options {
     /// variable, else `sat`.
     pub engine: EngineChoice,
     /// Stochastic-chain scheduling knobs (seed, proposal budgets).
-    /// Excluded from the fingerprint, like `threads`.
+    /// Excluded from the fingerprint, like `incremental`.
     pub stoke: StokeKnobs,
     /// The anytime channel: when set, verified stochastic candidates
     /// that beat the baseline are published here as they are found,
@@ -105,7 +102,7 @@ impl Default for Options {
             miss_latency: 20,
             dump_dimacs: None,
             pipeline_loads: false,
-            threads: env_threads(),
+            threads: 1,
             incremental: true,
             portfolio: 0,
             trace: denali_trace::env_enabled(),
@@ -115,15 +112,6 @@ impl Default for Options {
             anytime: None,
         }
     }
-}
-
-/// `DENALI_THREADS` (a worker count, `0` = auto), defaulting to the
-/// serial pipeline.
-fn env_threads() -> usize {
-    std::env::var("DENALI_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
 }
 
 /// Code generation for one GMA, with full diagnostics.
@@ -491,12 +479,8 @@ impl Denali {
         // still trace their phases.
         let gma_span = tracer.span_fields("gma", vec![field("name", gma.name.clone())]);
 
-        let mut saturation = self.options.saturation;
-        if self.options.threads != 1 {
-            saturation.threads = self.options.threads;
-        }
         let span = tracer.span("match");
-        let matched = match_gma_traced(&gma, axioms, &saturation, tracer);
+        let matched = match_gma_traced(&gma, axioms, &self.options.saturation, tracer);
         let match_ms = span.finish();
         let matched = matched.map_err(stage_err("match"))?;
         let egraph_memory = matched.egraph.memory_stats();
@@ -725,17 +709,18 @@ impl Denali {
     /// failures, and baseline rewrite failures.
     pub fn stoke_profile(&self, source: &str) -> Result<Vec<StokeRun>, CompileError> {
         let prepared = self.prepare_source(source)?;
-        let mut saturation = self.options.saturation;
-        if self.options.threads != 1 {
-            saturation.threads = self.options.threads;
-        }
         let mut runs = Vec::new();
         for gma in &prepared.gmas {
             if !crate::engine::stoke_supported(gma) {
                 continue;
             }
-            let matched = match_gma_traced(gma, &prepared.axioms, &saturation, &self.tracer)
-                .map_err(stage_err("match"))?;
+            let matched = match_gma_traced(
+                gma,
+                &prepared.axioms,
+                &self.options.saturation,
+                &self.tracer,
+            )
+            .map_err(stage_err("match"))?;
             let baseline = denali_baseline::rewrite_compile(gma, &self.options.machine)
                 .map_err(stage_err("baseline"))?;
             let Some(outcome) = run_chain(

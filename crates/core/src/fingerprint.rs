@@ -3,12 +3,12 @@
 //! A fingerprint is a stable 128-bit hex digest over everything that
 //! determines a compilation's *output*: the lowered GMAs, the full
 //! axiom set, and the output-affecting subset of [`Options`]. Knobs
-//! that only change wall-clock or observability — `threads`,
-//! `incremental`, `trace`, `dump_dimacs`, `saturation.delta_match`, and
-//! the cancellation token — are deliberately excluded: the
-//! pipeline's determinism contract guarantees byte-identical results
-//! across all of them, so requests differing only in those knobs may
-//! share one cached result.
+//! that only change wall-clock or observability — `incremental`,
+//! `trace`, `dump_dimacs`, `saturation.delta_match`, and the
+//! cancellation token — are deliberately excluded, as are the no-op
+//! hints `threads` and `portfolio`: the pipeline's determinism contract
+//! guarantees byte-identical results across all of them, so requests
+//! differing only in those knobs may share one cached result.
 //!
 //! The hash is two independent FNV-1a-64 lanes over a canonical text
 //! serialization. It is *not* cryptographic; it keys a trusted local
@@ -101,8 +101,7 @@ pub fn fingerprint(gmas: &[Gma], axioms: &[Axiom], options: &Options) -> String 
         &options.encode.speculate_loads.to_string(),
     );
     // Saturation budgets shape the e-graph and therefore the output;
-    // `threads` and `delta_match` are result-identical knobs and stay
-    // out of the key.
+    // `delta_match` is a result-identical knob and stays out of the key.
     let s = &options.saturation;
     fp.field("sat.max_iterations", &s.max_iterations.to_string());
     fp.field("sat.max_nodes", &s.max_nodes.to_string());
@@ -232,7 +231,6 @@ mod tests {
         other.incremental = !base.incremental;
         other.trace = true;
         other.dump_dimacs = Some(std::path::PathBuf::from("/tmp/nowhere"));
-        other.saturation.threads = 4;
         other.saturation.delta_match = !base.saturation.delta_match;
         // Stochastic effort knobs are environment-pinned, not
         // request-visible; they stay out of the key.

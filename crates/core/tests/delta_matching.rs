@@ -9,15 +9,13 @@ use denali_core::{Denali, Options};
 use denali_prng::{forall, Rng};
 use denali_term::Term;
 
-fn options(delta: bool, threads: usize) -> Options {
+fn options(delta: bool) -> Options {
     Options {
-        threads,
         saturation: SaturationLimits {
             max_iterations: 6,
             max_nodes: 3_000,
             max_structural_per_round: 300,
             max_structural_growth: 800,
-            threads,
             delta_match: delta,
             ..SaturationLimits::default()
         },
@@ -31,8 +29,8 @@ fn options(delta: bool, threads: usize) -> Options {
 /// quiescent candidates is the whole point.
 type Footprint = (u32, bool, String, Vec<(u32, bool)>, usize, usize);
 
-fn footprint(source: &str, delta: bool, threads: usize) -> Footprint {
-    let result = Denali::new(options(delta, threads))
+fn footprint(source: &str, delta: bool) -> Footprint {
+    let result = Denali::new(options(delta))
         .compile_source(source)
         .expect("pipeline succeeds");
     let compiled = &result.gmas[0];
@@ -84,10 +82,8 @@ fn delta_matching_compiles_identical_programs() {
     forall("delta_matching_compiles_identical_programs", 12, |rng| {
         let goal = random_goal(rng, 3);
         let source = format!("(procdecl f ((a long) (b long)) long (:= (res {goal})))");
-        let full = footprint(&source, false, 1);
-        for threads in [1, 4] {
-            let delta = footprint(&source, true, threads);
-            assert_eq!(full, delta, "goal {goal}, threads {threads}");
-        }
+        let full = footprint(&source, false);
+        let delta = footprint(&source, true);
+        assert_eq!(full, delta, "goal {goal}");
     });
 }

@@ -22,11 +22,7 @@ const BYTESWAP4: &str = "
       (:= (\\res r)))))";
 
 fn options(incremental: bool) -> Options {
-    // Pin `threads: 1` (the default honors `DENALI_THREADS`) so the
-    // serial matcher is what every test here measures unless it says
-    // otherwise.
     Options {
-        threads: 1,
         incremental,
         saturation: SaturationLimits {
             max_iterations: 6,
@@ -154,34 +150,6 @@ fn incremental_probes_share_one_solver() {
     assert_eq!(fresh.gmas[0].carried_clauses(), 0);
     for probe in &fresh.gmas[0].probes {
         assert_eq!(probe.solver.expect("CDCL stats").solves, 1);
-    }
-}
-
-#[test]
-fn parallel_matching_keeps_incremental_probing() {
-    // `threads` only fans out e-matching: at 4 threads byteswap4 yields
-    // the same program and probe log as at 1, and its probes still run
-    // on one persistent solver.
-    let compile = |threads| {
-        Denali::new(Options {
-            threads,
-            ..options(true)
-        })
-        .compile_source(BYTESWAP4)
-        .expect("pipeline succeeds")
-    };
-    let serial = compile(1);
-    let parallel = compile(4);
-    let log = |c: &denali_core::CompiledGma| -> Vec<(u32, bool)> {
-        c.probes.iter().map(|p| (p.k, p.satisfiable)).collect()
-    };
-    let (serial, parallel) = (&serial.gmas[0], &parallel.gmas[0]);
-    assert_eq!(parallel.program.listing(4), serial.program.listing(4));
-    assert_eq!(log(parallel), log(serial));
-    assert!(parallel.probes.len() >= 3, "byteswap4 needs several probes");
-    for (i, probe) in parallel.probes.iter().enumerate() {
-        let solves = probe.solver.expect("CDCL probes carry solver stats").solves;
-        assert_eq!(solves, (i + 1) as u64, "probe {i} ran on a fresh solver");
     }
 }
 

@@ -4,16 +4,16 @@
 //!
 //! 1. **No perturbation** — the compiled program, cycle count,
 //!    certificate, and probe log are byte-identical with tracing on and
-//!    off, at every thread count and in both probe engines.
+//!    off, on both probe paths.
 //! 2. **Determinism** — with tracing on, the record stream for a given
-//!    input is identical across runs and across thread counts, modulo
+//!    input is identical across runs on both probe paths, modulo
 //!    timestamps (compared via [`denali_trace::normalized`]).
 //!
 //! Every option that reads an environment variable in
-//! `Options::default()` (threads, incremental, trace) is pinned
-//! explicitly, so these tests mean the same thing on every CI leg.
+//! `Options::default()` (engine, trace) is pinned explicitly, so these
+//! tests mean the same thing on every CI leg.
 
-use denali_core::{CompileResult, Denali, Options};
+use denali_core::{CompileResult, Denali, EngineChoice, Options};
 use denali_trace::{jsonl, normalized, Record};
 
 const FIGURE2: &str = "(\\procdecl f ((reg6 long)) long (:= (\\res (+ (* reg6 4) 1))))";
@@ -22,15 +22,13 @@ const FIGURE2: &str = "(\\procdecl f ((reg6 long)) long (:= (\\res (+ (* reg6 4)
 /// probes and incremental horizon growth.
 const MULTI_PROBE: &str = "(\\procdecl f ((a long)) long (:= (\\res (+ (* a a) 1))))";
 
-fn pinned(threads: usize, incremental: bool, trace: bool) -> Options {
-    let mut options = Options {
-        threads,
+fn pinned(incremental: bool, trace: bool) -> Options {
+    Options {
+        engine: EngineChoice::Sat,
         incremental,
         trace,
         ..Options::default()
-    };
-    options.saturation.threads = 1;
-    options
+    }
 }
 
 /// Everything user-visible about a compilation, as one string.
@@ -54,56 +52,44 @@ fn fingerprint(result: &CompileResult) -> String {
 
 #[test]
 fn tracing_on_off_is_byte_identical() {
-    for threads in [1usize, 4] {
-        for incremental in [true, false] {
-            let off = Denali::new(pinned(threads, incremental, false))
-                .compile_source(MULTI_PROBE)
-                .unwrap();
-            let traced = Denali::new(pinned(threads, incremental, true));
-            let on = traced.compile_source(MULTI_PROBE).unwrap();
-            assert!(traced.tracer().is_enabled());
-            assert!(
-                !traced.tracer().records().is_empty(),
-                "enabled tracer collected nothing"
-            );
-            assert_eq!(
-                fingerprint(&off),
-                fingerprint(&on),
-                "tracing perturbed the result at threads={threads} incremental={incremental}"
-            );
-        }
+    for incremental in [true, false] {
+        let off = Denali::new(pinned(incremental, false))
+            .compile_source(MULTI_PROBE)
+            .unwrap();
+        let traced = Denali::new(pinned(incremental, true));
+        let on = traced.compile_source(MULTI_PROBE).unwrap();
+        assert!(traced.tracer().is_enabled());
+        assert!(
+            !traced.tracer().records().is_empty(),
+            "enabled tracer collected nothing"
+        );
+        assert_eq!(
+            fingerprint(&off),
+            fingerprint(&on),
+            "tracing perturbed the result at incremental={incremental}"
+        );
     }
 }
 
 #[test]
 fn trace_is_identical_across_runs() {
-    let run = || -> Vec<Record> {
-        let denali = Denali::new(pinned(1, true, true));
-        denali.compile_source(MULTI_PROBE).unwrap();
-        normalized(&denali.tracer().records())
-    };
-    assert_eq!(run(), run(), "same input, different trace");
-}
-
-#[test]
-fn trace_is_identical_across_thread_counts() {
     for incremental in [true, false] {
-        let run = |threads: usize| -> Vec<Record> {
-            let denali = Denali::new(pinned(threads, incremental, true));
+        let run = || -> Vec<Record> {
+            let denali = Denali::new(pinned(incremental, true));
             denali.compile_source(MULTI_PROBE).unwrap();
             normalized(&denali.tracer().records())
         };
         assert_eq!(
-            run(1),
-            run(4),
-            "thread count leaked into the trace (incremental={incremental})"
+            run(),
+            run(),
+            "same input, different trace (incremental={incremental})"
         );
     }
 }
 
 #[test]
 fn figure2_trace_matches_schema_golden() {
-    let denali = Denali::new(pinned(1, true, true));
+    let denali = Denali::new(pinned(true, true));
     denali.compile_source(FIGURE2).unwrap();
     let records = normalized(&denali.tracer().records());
     // The span/event vocabulary documented in docs/TRACING.md.

@@ -459,15 +459,6 @@ pub struct EGraph {
     const_epoch: u64,
 }
 
-// The matcher freezes the e-graph and e-matches axioms against it from
-// multiple threads; every read accessor takes `&self`, and this pins the
-// auto-trait obligations so a future non-Sync field (e.g. an interior-
-// mutability cache) fails to compile here rather than in the matcher.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<EGraph>();
-};
-
 impl EGraph {
     /// Creates an empty e-graph.
     pub fn new() -> EGraph {

@@ -76,9 +76,9 @@ impl std::error::Error for ProtocolError {}
 /// Per-request overrides of the server's base [`denali_core::Options`].
 ///
 /// Only the knobs a client could reasonably vary per request are
-/// exposed. `threads`, `trace`, and `verbose` are accepted for client
-/// convenience but are *execution* knobs: the pipeline's determinism
-/// contract makes them result-invariant, so they are excluded from the
+/// exposed. `trace` and `verbose` are accepted for client convenience
+/// but are *observability* knobs: the pipeline's determinism contract
+/// makes them result-invariant, so they are excluded from the
 /// compilation fingerprint (pinned by a test) — requests differing only
 /// there share a cache entry.
 #[derive(Clone, Debug, Default)]
@@ -100,8 +100,6 @@ pub struct OptionOverrides {
     pub miss_latency: Option<u32>,
     /// Mechanized software pipelining of loop loads.
     pub pipeline_loads: Option<bool>,
-    /// Worker threads (execution knob; not fingerprinted).
-    pub threads: Option<usize>,
     /// Structured tracing (observability knob; not fingerprinted).
     pub trace: Option<bool>,
     /// Verbose server logging (observability knob; not fingerprinted).
@@ -135,9 +133,6 @@ impl OptionOverrides {
         }
         if let Some(p) = self.pipeline_loads {
             options.pipeline_loads = p;
-        }
-        if let Some(t) = self.threads {
-            options.threads = t;
         }
         if let Some(t) = self.trace {
             options.trace = t;
@@ -272,7 +267,6 @@ fn parse_overrides(obj: &Json) -> Result<OptionOverrides, ProtocolError> {
             "load_latency",
             "miss_latency",
             "pipeline_loads",
-            "threads",
             "trace",
             "verbose",
         ],
@@ -315,7 +309,6 @@ fn parse_overrides(obj: &Json) -> Result<OptionOverrides, ProtocolError> {
             .map(|v| u32::try_from(v).map_err(|_| ProtocolError::new("miss_latency out of range")))
             .transpose()?,
         pipeline_loads: get_bool(obj, "pipeline_loads")?,
-        threads: get_u64(obj, "threads")?.map(|v| v as usize),
         trace: get_bool(obj, "trace")?,
         verbose: get_bool(obj, "verbose")?,
     })
@@ -509,6 +502,9 @@ mod tests {
         let err = parse_request(r#"{"type":"compile","source":"x","options":{"portfolio":2}}"#)
             .unwrap_err();
         assert!(err.message.contains("portfolio"), "{err}");
+        let err = parse_request(r#"{"type":"compile","source":"x","options":{"threads":4}}"#)
+            .unwrap_err();
+        assert!(err.message.contains("threads"), "{err}");
     }
 
     #[test]

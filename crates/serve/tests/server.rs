@@ -68,18 +68,18 @@ fn warm_hit_is_byte_identical_to_cold_miss() {
 
 #[test]
 fn execution_knobs_share_a_cache_entry() {
-    // threads / trace / verbose do not affect results (the pipeline's
+    // trace / verbose do not affect results (the pipeline's
     // determinism contract), so they are not part of the fingerprint:
     // requests differing only there must share one cache entry.
     let server = test_server();
     let cold = server
-        .handle_line(&compile_line("a", SOURCE, r#","options":{"threads":1}"#))
+        .handle_line(&compile_line("a", SOURCE, r#","options":{"trace":false}"#))
         .unwrap();
     let warm = server
         .handle_line(&compile_line(
             "a",
             SOURCE,
-            r#","options":{"threads":4,"trace":true,"verbose":true}"#,
+            r#","options":{"trace":true,"verbose":true}"#,
         ))
         .unwrap();
     assert_eq!(cold, warm);

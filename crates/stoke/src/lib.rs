@@ -13,7 +13,7 @@
 //! through one [`denali_prng::Rng`] (SplitMix64), the chain never
 //! consults wall-clock time or thread identity, and proposals are
 //! evaluated single-threaded, so fixed-seed runs are byte-identical
-//! across repetitions and `DENALI_THREADS` settings.
+//! across repetitions.
 //!
 //! Candidates that beat the incumbent are never trusted on the chain's
 //! own test vectors alone: they must pass [`denali_arch::validate`] and

@@ -58,8 +58,9 @@ struct TermNode {
 /// An immutable term: an [`Op`] applied to zero or more argument terms.
 ///
 /// Terms are atomically reference-counted trees; cloning is O(1),
-/// sharing across threads is free (the matcher fans patterns out over a
-/// thread pool), and equality and hashing are structural.
+/// sharing across threads is free (the server's workers share one
+/// configuration and its axioms), and equality and hashing are
+/// structural.
 ///
 /// # Example
 ///

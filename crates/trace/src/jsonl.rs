@@ -4,7 +4,7 @@
 //! Line types (`"type"` field):
 //!
 //! * `"meta"` — header line: `{"type":"meta","version":1,...}` plus
-//!   caller-supplied context fields (proc name, thread count, knobs).
+//!   caller-supplied context fields (source file, knobs).
 //! * `"B"` / `"E"` — span enter / exit: `id`, `parent` (enter only),
 //!   `name` (enter only), `t_us`, `fields`.
 //! * `"X"` — complete span: `id`, `parent`, `name`, `t_us`, `dur_us`,

@@ -15,11 +15,6 @@
 //! * **Typed events** — [`Tracer::event`] records a named point-in-time
 //!   fact carrying key/value [`Field`]s (SAT probe outcomes, per-axiom
 //!   match counts, e-graph growth).
-//! * **Thread-aware buffering** — [`Tracer::local`] hands a detached
-//!   [`LocalBuffer`] to a fork-join worker; [`Tracer::splice`] merges
-//!   the buffers back **in caller-supplied order**, so the merged
-//!   stream is deterministic regardless of how the scheduler
-//!   interleaved the workers.
 //! * **Sinks** — [`jsonl`] writes/parses the stable line-oriented
 //!   schema documented in `docs/TRACING.md`; [`chrome`] exports the
 //!   Chrome-trace/Perfetto JSON flavor for `chrome://tracing`;
@@ -32,10 +27,9 @@
 //! the same guard that would have produced the trace record.
 //!
 //! Determinism contract: with tracing enabled, the record stream for a
-//! given input is identical across runs and thread counts *modulo
-//! timestamps* — compare streams with [`normalized`], which zeroes
-//! `t_us`/`dur_us` and drops fields whose key ends in `_ms`, `_us`, or
-//! `_ns`.
+//! given input is identical across runs *modulo timestamps* — compare
+//! streams with [`normalized`], which zeroes `t_us`/`dur_us` and drops
+//! fields whose key ends in `_ms`, `_us`, or `_ns`.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -124,7 +118,7 @@ pub fn field(key: &'static str, value: impl Into<Value>) -> Field {
 ///
 /// The stream is strictly append-only and serially ordered: record
 /// order is the order the serial control flow reached each point, which
-/// is what makes traces diffable across runs and thread counts.
+/// is what makes traces diffable across runs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Record {
     /// A span was entered.
@@ -149,8 +143,8 @@ pub enum Record {
         /// Fields computed during the span (counts, outcomes).
         fields: Vec<(String, Value)>,
     },
-    /// A retrospective span: work measured elsewhere (possibly on
-    /// another thread) logged when the serial control flow consumed it.
+    /// A retrospective span: work measured elsewhere, logged when the
+    /// serial control flow consumed it.
     Complete {
         /// Span id (same namespace as [`Record::Begin`] ids).
         id: u64,
@@ -362,39 +356,6 @@ impl Tracer {
         Some(id)
     }
 
-    /// A detached buffer for one fork-join worker (or one work item).
-    /// The buffer only records events; merge it back with
-    /// [`Tracer::splice`].
-    pub fn local(&self) -> LocalBuffer {
-        LocalBuffer {
-            enabled: self.is_enabled(),
-            epoch: self.inner.as_ref().map(|i| i.epoch),
-            events: Vec::new(),
-        }
-    }
-
-    /// Merges worker buffers into the trace **in iteration order** —
-    /// the caller supplies the buffers in logical (input) order, so the
-    /// merged stream is independent of scheduling. Each buffered event
-    /// is attached to the span current at splice time.
-    pub fn splice(&self, buffers: impl IntoIterator<Item = LocalBuffer>) {
-        let Some(inner) = self.inner.as_ref() else {
-            return;
-        };
-        let mut st = inner.state.lock().expect("trace state poisoned");
-        let span = st.stack.last().copied();
-        for buffer in buffers {
-            for (name, t_us, fields) in buffer.events {
-                st.records.push(Record::Event {
-                    span,
-                    name,
-                    t_us,
-                    fields,
-                });
-            }
-        }
-    }
-
     /// Snapshot of every record collected so far.
     pub fn records(&self) -> Vec<Record> {
         match self.inner.as_ref() {
@@ -497,39 +458,6 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         self.end(Vec::new());
-    }
-}
-
-/// A detached per-worker event buffer (see [`Tracer::local`]).
-///
-/// Workers record into their own buffer with no synchronization; the
-/// serial caller merges buffers in input order with [`Tracer::splice`],
-/// so the trace never observes scheduling.
-#[derive(Debug)]
-pub struct LocalBuffer {
-    enabled: bool,
-    epoch: Option<Instant>,
-    events: Vec<(String, u64, Vec<OwnedField>)>,
-}
-
-impl LocalBuffer {
-    /// True if the parent tracer is collecting (records are kept).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Buffers an event. `fields` is a closure so disabled buffers do
-    /// no work.
-    pub fn event(&mut self, name: &'static str, fields: impl FnOnce() -> Vec<Field>) {
-        if !self.enabled {
-            return;
-        }
-        let t_us = self
-            .epoch
-            .map(|e| e.elapsed().as_micros() as u64)
-            .unwrap_or(0);
-        self.events
-            .push((name.to_owned(), t_us, own_fields(fields())));
     }
 }
 
@@ -691,35 +619,6 @@ mod tests {
                 assert_eq!(*parent, probe);
             }
             r => panic!("unexpected {r:?}"),
-        }
-    }
-
-    #[test]
-    fn splice_preserves_caller_order() {
-        let t = Tracer::new();
-        let _round = t.span("round");
-        let mut buffers: Vec<LocalBuffer> = (0..4).map(|_| t.local()).collect();
-        // Fill out of order, as a scheduler would.
-        for i in [2usize, 0, 3, 1] {
-            buffers[i].event("chunk", || vec![field("i", i)]);
-        }
-        t.splice(buffers);
-        let records = t.records();
-        let order: Vec<u64> = records
-            .iter()
-            .filter_map(|r| match r {
-                Record::Event { fields, .. } => match fields[0].1 {
-                    Value::U64(v) => Some(v),
-                    _ => None,
-                },
-                _ => None,
-            })
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-        for r in &records {
-            if let Record::Event { span, .. } = r {
-                assert_eq!(*span, Some(0), "attached to the round span");
-            }
         }
     }
 

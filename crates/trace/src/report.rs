@@ -208,8 +208,8 @@ pub fn render(records: &[Record]) -> String {
         .collect();
     if !rounds.is_empty() {
         // A round's e-matching time: its `ematch.chunk` events'
-        // `match_us`, summed over chunks (CPU time, so with several
-        // match threads it can exceed the round's wall time).
+        // `match_us`, summed over the round's patterns (a part of the
+        // round's wall time).
         let mut ematch_us: HashMap<u64, u64> = HashMap::new();
         for r in records {
             if let Record::Event {
@@ -473,18 +473,14 @@ mod tests {
     #[test]
     fn rounds_table_sums_each_rounds_ematch_chunks() {
         let t = Tracer::new();
-        let chunk = |us: u64| {
-            let mut buffer = t.local();
-            buffer.event("ematch.chunk", || vec![field("match_us", us)]);
-            buffer
-        };
+        let chunk = |us: u64| t.event("ematch.chunk", || vec![field("match_us", us)]);
         for (round, chunks) in [(1u64, vec![1500u64, 2500]), (2, vec![250])] {
             let span = t.span_fields("saturate.round", vec![field("round", round)]);
-            t.splice(chunks.into_iter().map(&chunk));
+            chunks.into_iter().for_each(chunk);
             span.finish();
         }
         // A chunk outside any round is not attributed to one.
-        t.splice([chunk(9000)]);
+        chunk(9000);
         let text = render(&t.records());
         let header = text.lines().find(|l| l.starts_with("round")).unwrap();
         let column = header

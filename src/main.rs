@@ -3,7 +3,7 @@
 //! ```text
 //! denali FILE.dnl [--proc NAME] [--machine ev6|ev6-unclustered|single-issue|ia64like]
 //!                 [--solver cdcl|dpll] [--engine sat|stochastic|auto]
-//!                 [--threads N] [--load-latency N] [--max-cycles N]
+//!                 [--load-latency N] [--max-cycles N]
 //!                 [--probes] [-v|--verbose] [--trace] [--trace-out FILE]
 //!                 [--trace-format jsonl|chrome] [--dump-dimacs DIR]
 //!                 [--simulate name=value ...]
@@ -12,7 +12,7 @@
 //! denali serve (--stdio | --listen ADDR) [--workers N] [--queue N]
 //!              [--cache-bytes N] [--cache-dir DIR] [--machine M] [--solver S]
 //!              [--engine sat|stochastic|auto]
-//!              [--max-cycles N] [--threads N] [--trace] [-v|--verbose]
+//!              [--max-cycles N] [--trace] [-v|--verbose]
 //!              [--metrics-addr ADDR] [--slow-ms T --spool-dir DIR]
 //!              [--trace-sample N] [--flight-capacity N]
 //! ```
@@ -53,7 +53,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: denali FILE.dnl [--proc NAME] [--machine ev6|ev6-unclustered|single-issue|ia64like]\n\
          \x20                   [--solver cdcl|dpll] [--engine sat|stochastic|auto]\n\
-         \x20                   [--threads N] [--load-latency N] [--max-cycles N]\n\
+         \x20                   [--load-latency N] [--max-cycles N]\n\
          \x20                   [--probes] [-v|--verbose] [--trace] [--trace-out FILE]\n\
          \x20                   [--trace-format jsonl|chrome] [--allocate] [--dump-dimacs DIR]\n\
          \x20                   [--simulate name=value ...]\n\
@@ -62,13 +62,12 @@ fn usage() -> ! {
          \x20      denali serve (--stdio | --listen ADDR) [--workers N] [--queue N]\n\
          \x20                   [--cache-bytes N] [--cache-dir DIR] [--machine M] [--solver S]\n\
          \x20                   [--engine sat|stochastic|auto] [--max-cycles N]\n\
-         \x20                   [--threads N] [--trace] [-v|--verbose]\n\
+         \x20                   [--trace] [-v|--verbose]\n\
          \x20                   [--metrics-addr ADDR] [--slow-ms T --spool-dir DIR]\n\
          \x20                   [--trace-sample N] [--flight-capacity N]\n\
          \x20 --engine E        optimizer engine: sat (goal-directed search, default), stochastic\n\
          \x20                   (MCMC over instruction sketches), or auto (SAT with stochastic\n\
          \x20                   fallback + anytime candidates under deadlines; also DENALI_ENGINE)\n\
-         \x20 --threads N       worker threads for e-matching (0 = all CPUs, 1 = serial)\n\
          \x20 --trace           collect a structured trace (also DENALI_TRACE=1)\n\
          \x20 --trace-out FILE  write the trace to FILE (implies --trace; jsonl unless --trace-format chrome)\n\
          \x20 -v, --verbose     per-round matcher detail + probe log (implies --trace and --probes)\n\
@@ -144,11 +143,6 @@ fn parse_cli() -> Cli {
             }
             "--max-cycles" => {
                 cli.options.max_cycles = need(&mut args, "--max-cycles")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--threads" => {
-                cli.options.threads = need(&mut args, "--threads")
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
@@ -335,7 +329,6 @@ fn serve(args: &[String]) -> ExitCode {
                 config.base.max_cycles =
                     parse(need(&mut args, "--max-cycles"), "--max-cycles") as u32
             }
-            "--threads" => config.base.threads = parse(need(&mut args, "--threads"), "--threads"),
             "--trace" => config.base.trace = true,
             "--metrics-addr" => metrics_addr = Some(need(&mut args, "--metrics-addr")),
             "--slow-ms" => {

@@ -30,7 +30,6 @@ fn cli_stdout(name: &str, source: &str) -> String {
         // Pin the env-driven knobs so CI matrix legs cannot change the
         // output.
         .env_remove("DENALI_TRACE")
-        .env("DENALI_THREADS", "1")
         .env("DENALI_ENGINE", "sat")
         .output()
         .expect("denali binary runs");

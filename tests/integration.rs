@@ -210,7 +210,6 @@ fn cli_trace_round_trip() {
             // Pin the env-driven knobs so CI matrix legs cannot skew
             // the comparison.
             .env_remove("DENALI_TRACE")
-            .env("DENALI_THREADS", "1")
             .output()
             .expect("denali binary runs");
         assert!(
@@ -306,7 +305,6 @@ fn cli_probes_prints_a_phase_line_from_the_trace() {
         let out = std::process::Command::new(exe)
             .args(args)
             .env_remove("DENALI_TRACE")
-            .env("DENALI_THREADS", "1")
             .output()
             .expect("denali binary runs");
         assert!(out.status.success(), "denali {args:?} failed");
