@@ -1,5 +1,5 @@
-//! Golden program text for the fixtures whose structural saturation
-//! phase does the most merging and folding.
+//! Golden program text for every program of the pipeline benchmark's
+//! corpus and for `examples/figure2.dnl`.
 //!
 //! The pinned text is the stdout of `denali FILE` from the real binary:
 //! the header line and the listing of every GMA, including the
@@ -8,16 +8,11 @@
 //! the emitted instructions: a change to saturation or congruence repair
 //! that renumbers classes shows up here even when the program is
 //! otherwise the same. A change to the CLI's output format shows up too.
+//! The sources are read with `include_str!`, so the goldens follow the
+//! benchmark's corpus files without copying them.
 //!
 //! Regenerate with `DENALI_REGEN_GOLDEN=1 cargo test --test
 //! golden_programs` only when a change is meant to alter the output.
-
-/// The `memcopy2_zero` fixture of the pipeline benchmark's corpus: a
-/// 2-wide copy loop that addresses its first word as `(+ p 0)`.
-const MEMCOPY2_ZERO: &str = "
-(\\procdecl memcopy2_zero ((p long*) (q long*) (r long*)) long
-  (\\do (-> (<u p r)
-    (:= ((\\deref (+ p 0)) (\\deref (+ q 0))) ((\\deref (+ p 8)) (\\deref (+ q 8))) (p (+ p 16)) (q (+ q 16))))))";
 
 /// Compiles `source` with `denali FILE` and returns its stdout.
 fn cli_stdout(name: &str, source: &str) -> String {
@@ -60,12 +55,32 @@ fn check_golden(name: &str, source: &str) {
     );
 }
 
-#[test]
-fn lcp2_program_matches_golden() {
-    check_golden("lcp2", denali_bench::programs::LCP2);
+/// One test per source file: `test_name => golden name, source path`.
+macro_rules! golden_programs {
+    ($($test:ident => $name:literal, $path:literal;)*) => {
+        $(
+            #[test]
+            fn $test() {
+                check_golden($name, include_str!($path));
+            }
+        )*
+    };
 }
 
-#[test]
-fn memcopy2_zero_program_matches_golden() {
-    check_golden("memcopy2_zero", MEMCOPY2_ZERO);
+golden_programs! {
+    byteswap4_program_matches_golden => "byteswap4", "../pipeline_bench/src/corpus/byteswap4.dnl";
+    byteswap5_program_matches_golden => "byteswap5", "../pipeline_bench/src/corpus/byteswap5.dnl";
+    checksum_program_matches_golden => "checksum", "../pipeline_bench/src/corpus/checksum.dnl";
+    dot4_program_matches_golden => "dot4", "../pipeline_bench/src/corpus/dot4.dnl";
+    figure2_program_matches_golden => "figure2", "../pipeline_bench/src/corpus/figure2.dnl";
+    lcp2_program_matches_golden => "lcp2", "../pipeline_bench/src/corpus/lcp2.dnl";
+    memcopy2_zero_program_matches_golden => "memcopy2_zero", "../pipeline_bench/src/corpus/memcopy2_zero.dnl";
+    memcopy5_program_matches_golden => "memcopy5", "../pipeline_bench/src/corpus/memcopy5.dnl";
+    memcopy6_program_matches_golden => "memcopy6", "../pipeline_bench/src/corpus/memcopy6.dnl";
+    memcopy7_program_matches_golden => "memcopy7", "../pipeline_bench/src/corpus/memcopy7.dnl";
+    rowop_program_matches_golden => "rowop", "../pipeline_bench/src/corpus/rowop.dnl";
+    rowop4_program_matches_golden => "rowop4", "../pipeline_bench/src/corpus/rowop4.dnl";
+    sel_program_matches_golden => "sel", "../pipeline_bench/src/corpus/sel.dnl";
+    wide_program_matches_golden => "wide", "../pipeline_bench/src/corpus/wide.dnl";
+    example_figure2_program_matches_golden => "example_figure2", "../examples/figure2.dnl";
 }
