@@ -27,11 +27,11 @@
 //! [`SaturationLimits::delta_match`] `= false` forces full re-matching
 //! every round (the reference the differential tests compare against).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use denali_egraph::{
     candidates, ematch_classes, pattern_depth, ClassId, Delta, EGraph, EGraphError, EqLiteral,
-    Subst,
+    SeededSet, Subst,
 };
 use denali_term::{Op, Symbol, Term};
 use denali_trace::{field, Tracer};
@@ -247,7 +247,7 @@ fn saturate_phase(
         vec![field("phase", phase), field("axioms", axioms.len())],
     );
     let mut report = SaturationReport::default();
-    let mut applied: HashMap<usize, HashSet<Key>> = HashMap::new();
+    let mut applied: Vec<SeededSet<Key>> = vec![SeededSet::default(); axioms.len()];
     let mut pow2_done: HashSet<u64> = HashSet::new();
 
     // Flattened (axiom index, pattern) work list; fixed for the phase.
@@ -516,7 +516,7 @@ fn match_and_replay(
     body_vars: &[Vec<Symbol>],
     cone: Option<&HashSet<ClassId>>,
     limits: &SaturationLimits,
-    applied: &mut HashMap<usize, HashSet<Key>>,
+    applied: &mut [SeededSet<Key>],
     stats: &mut RoundStats,
     tracer: &Tracer,
 ) -> (Vec<(usize, Subst)>, bool) {
@@ -601,7 +601,7 @@ fn match_and_replay(
                 break 'axioms;
             }
             for (subst, key) in pattern_matches {
-                if applied.get(&i).is_some_and(|keys| keys.contains(&key)) {
+                if applied[i].contains(&key) {
                     continue;
                 }
                 if is_structural {
@@ -610,7 +610,7 @@ fn match_and_replay(
                     // actually taken from the queue below.
                     continue;
                 }
-                applied.entry(i).or_default().insert(key);
+                applied[i].insert(key);
                 axiom_applied[i] += 1;
                 instances.push((i, subst));
                 if instances.len() >= limits.max_instances_per_round {
@@ -635,7 +635,7 @@ fn match_and_replay(
                 cursors[q] += 1;
                 advanced = true;
                 let key: Key = subst.iter().map(|(v, c)| (v, egraph.find(c))).collect();
-                if applied.entry(*i).or_default().insert(key) {
+                if applied[*i].insert(key) {
                     axiom_applied[*i] += 1;
                     instances.push((*i, subst.clone()));
                     budget -= 1;

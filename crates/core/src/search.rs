@@ -3,10 +3,13 @@
 //! §1.3: "Continuing with binary search, we eventually find, for some K,
 //! a K-cycle program that computes P, together with a proof that K−1
 //! cycles are insufficient: that is, an optimal program". We probe
-//! geometrically upward from a structural lower bound until the first
-//! satisfiable budget, then binary-search the gap, recording the size
-//! and outcome of every SAT problem (the paper reports these sizes for
-//! byteswap4 in §8).
+//! upward from K = 1, doubling the budget until the first satisfiable
+//! one, then binary-search the gap, recording the size and outcome of
+//! every SAT problem (the paper reports these sizes for byteswap4 in
+//! §8). checksum's last GMA, for example, probes 1, 2, 4, 8, 16, 12, 14
+//! and 13. No lower bound is used yet: starting the ladder at the
+//! critical path over the goal classes is an open ROADMAP item
+//! ("Search: start the ladder at a proven lower bound").
 //!
 //! # One serial probe path
 //!

@@ -1,12 +1,13 @@
 //! Core E-graph data structure: hashcons, union-find, congruence
 //! closure, analyses, distinctions, and clauses.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use denali_term::{ops, Op, Symbol, Term};
 
 use crate::ematch::Subst;
+use crate::hash::{SeededMap, SeededSet};
 
 /// Identifier of an equivalence class.
 ///
@@ -122,7 +123,7 @@ struct SlicePool {
     /// `(offset, len)` into `data`, indexed by `SliceId`.
     spans: Vec<(u32, u32)>,
     /// Content hash → slice ids with that hash (collision bucket).
-    dedup: HashMap<u64, Vec<SliceId>>,
+    dedup: SeededMap<u64, Vec<SliceId>>,
 }
 
 impl SlicePool {
@@ -238,6 +239,7 @@ impl fmt::Display for EGraphError {
 impl std::error::Error for EGraphError {}
 
 #[derive(Clone, Default, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 struct EClass {
     /// Arena ids of the e-nodes in this class (first-seen order;
     /// congruent duplicates are dropped by rebuild's dedupe pass).
@@ -416,21 +418,21 @@ pub struct EGraph {
     /// Hashcons memo on the compact interned form. Slice interning is
     /// content-addressed, so `(Op, SliceId)` equality is structural
     /// node equality and no owned key is ever built.
-    memo: HashMap<(Op, SliceId), ClassId>,
+    memo: SeededMap<(Op, SliceId), ClassId>,
     /// Scratch buffer reused by canonicalization in `&mut self` paths,
     /// so a hashcons hit allocates nothing.
     scratch: Vec<ClassId>,
     /// Canonical ids of constant classes, for eager folding.
-    constants: HashMap<u64, ClassId>,
+    constants: SeededMap<u64, ClassId>,
     /// Classes whose parents need congruence repair.
     dirty: Vec<ClassId>,
     /// Canonicalized (smaller, larger) root pairs that must never merge.
-    uncombinable: HashSet<(ClassId, ClassId)>,
+    uncombinable: SeededSet<(ClassId, ClassId)>,
     /// Recorded clauses awaiting literal deletion / unit assertion.
     clauses: Vec<Vec<EqLiteral>>,
     /// Operator index: symbol → classes that (at insertion time) held a
     /// node with that head. Entries may be stale; readers canonicalize.
-    op_index: HashMap<Symbol, Vec<ClassId>>,
+    op_index: SeededMap<Symbol, Vec<ClassId>>,
     /// Monotone mutation counter: bumped on every journaled change, so
     /// readers can cheaply detect "something happened since I looked".
     generation: u64,
@@ -913,9 +915,15 @@ impl EGraph {
     ///
     /// Propagates contradictions discovered while merging.
     pub fn rebuild(&mut self) -> Result<(), EGraphError> {
+        self.rebuild_with(EGraph::repair_dirty)
+    }
+
+    /// [`EGraph::rebuild`] with the worklist loop passed in, so the
+    /// tests can run the reference loop in its place.
+    fn rebuild_with(&mut self, repair: fn(&mut EGraph) -> Repair) -> Repair {
         self.counts.rebuilds += 1;
         self.repairing = true;
-        let result = self.rebuild_loop();
+        let result = self.rebuild_loop(repair);
         self.repairing = false;
         if result.is_ok() {
             self.sweep_slices();
@@ -995,59 +1003,16 @@ impl EGraph {
         self.reclaimed_bytes += before - self.pool.footprint_bytes();
     }
 
-    fn rebuild_loop(&mut self) -> Result<(), EGraphError> {
+    fn rebuild_loop(&mut self, repair: fn(&mut EGraph) -> Repair) -> Repair {
         loop {
-            while let Some(dirty) = self.dirty.pop() {
-                let dirty = self.find(dirty);
-                let parents = std::mem::take(&mut self.class_mut(dirty).parents);
-                // `new_parents` must preserve first-seen order: it is
-                // written back to `class.parents`, whose order decides
-                // the union order on the *next* repair of this class.
-                // A plain HashMap here leaks hash-seed nondeterminism
-                // into node-list order.
-                let mut new_parents: Vec<(NodeId, ClassId)> = Vec::new();
-                let mut parent_index: HashMap<(Op, SliceId), usize> = HashMap::new();
-                for (nid, node_class) in parents {
-                    let op = self.node_ops[nid.index()];
-                    // The memo entry for this node (if this node's key
-                    // still owns one) is keyed by its current slice:
-                    // every memo insert below re-points the slice first.
-                    self.memo.remove(&(op, self.node_slices[nid.index()]));
-                    let key = (op, self.canonicalize_slice(nid));
-                    let node_class = self.find(node_class);
-                    if let Some(&i) = parent_index.get(&key) {
-                        self.union(new_parents[i].1, node_class)?;
-                    }
-                    let node_class = self.find(node_class);
-                    if let Some(&memo_class) = self.memo.get(&key) {
-                        let memo_class = self.find(memo_class);
-                        if memo_class != node_class {
-                            self.union(memo_class, node_class)?;
-                        }
-                    }
-                    let node_class = self.find(node_class);
-                    self.memo.insert(key, node_class);
-                    match parent_index.get(&key) {
-                        Some(&i) => new_parents[i].1 = node_class,
-                        None => {
-                            parent_index.insert(key, new_parents.len());
-                            new_parents.push((nid, node_class));
-                        }
-                    }
-                    // Constant propagation: the child's merge may have
-                    // given this parent a constant value.
-                    self.try_fold_parent(node_class)?;
-                }
-                let dirty = self.find(dirty);
-                self.class_mut(dirty).parents.extend(new_parents);
-            }
+            repair(self)?;
             // Canonicalize the arena slices and dedupe the node lists:
             // after this pass every stored slice is canonical and no
             // class lists two nodes with the same `(op, slice)` form.
             // (Interning is content-addressed, so the set of slices
             // created here does not depend on the order classes are
             // visited in.)
-            let mut seen = HashSet::new();
+            let mut seen = SeededSet::default();
             for i in 0..self.classes.len() {
                 let Some(class) = self.classes[i].as_mut() else {
                     continue;
@@ -1063,6 +1028,85 @@ impl EGraph {
                 return Ok(());
             }
         }
+    }
+
+    /// True if `id` is the root of its class.
+    fn is_root(&self, id: ClassId) -> bool {
+        self.uf[id.index()] == id.0
+    }
+
+    /// Congruence repair: pops dirty classes until the worklist is
+    /// empty, walking each popped class's parent entries. Each entry's
+    /// node is re-keyed by its canonical `(op, slice)`; a parent already
+    /// seen under that key in this walk, or the memo's class for it, is
+    /// congruent and merged with the node's class, and the class is
+    /// offered a constant fold.
+    ///
+    /// An entry whose stored slice is already canonical takes a short
+    /// route with the same effect. Its key is the stored `(op, slice)`,
+    /// so re-interning would return the same slice, and removing then
+    /// probing the memo under that key would always miss; both are
+    /// skipped. The parent-index union, the memo insert, the
+    /// `new_parents` update and the fold run as for any other entry, in
+    /// the same order.
+    fn repair_dirty(&mut self) -> Repair {
+        // `new_parents` must preserve first-seen order: it is written
+        // back to `class.parents`, whose order decides the union order
+        // on the *next* repair of this class. A map here would leak
+        // hash-seed nondeterminism into node-list order.
+        let mut new_parents: Vec<(NodeId, ClassId)> = Vec::new();
+        let mut parent_index: SeededMap<(Op, SliceId), usize> = SeededMap::default();
+        while let Some(dirty) = self.dirty.pop() {
+            let dirty = self.find(dirty);
+            let parents = std::mem::take(&mut self.class_mut(dirty).parents);
+            new_parents.clear();
+            parent_index.clear();
+            for (nid, node_class) in parents {
+                let op = self.node_ops[nid.index()];
+                let stored = self.node_slices[nid.index()];
+                let canonical = self.pool.get(stored).iter().all(|&c| self.is_root(c));
+                let key = if canonical {
+                    (op, stored)
+                } else {
+                    // The memo entry for this node (if this node's key
+                    // still owns one) is keyed by its current slice:
+                    // every memo insert below re-points the slice first.
+                    self.memo.remove(&(op, stored));
+                    (op, self.canonicalize_slice(nid))
+                };
+                let node_class = self.find(node_class);
+                let seen = parent_index.get(&key).copied();
+                if let Some(i) = seen {
+                    self.union(new_parents[i].1, node_class)?;
+                }
+                if !canonical {
+                    let node_class = self.find(node_class);
+                    if let Some(&memo_class) = self.memo.get(&key) {
+                        let memo_class = self.find(memo_class);
+                        if memo_class != node_class {
+                            self.union(memo_class, node_class)?;
+                        }
+                    }
+                }
+                let node_class = self.find(node_class);
+                self.memo.insert(key, node_class);
+                match seen {
+                    Some(i) => new_parents[i].1 = node_class,
+                    None => {
+                        parent_index.insert(key, new_parents.len());
+                        new_parents.push((nid, node_class));
+                    }
+                }
+                // Constant propagation: the child's merge may have
+                // given this parent a constant value.
+                self.try_fold_parent(node_class)?;
+            }
+            let dirty = self.find(dirty);
+            self.class_mut(dirty)
+                .parents
+                .extend_from_slice(&new_parents);
+        }
+        Ok(())
     }
 
     /// Folds `parent_class` to a constant if one of its nodes now
@@ -1361,6 +1405,9 @@ impl EGraph {
     }
 }
 
+/// The result of a rebuild step: a contradiction aborts the rebuild.
+type Repair = Result<(), EGraphError>;
+
 fn ordered(a: ClassId, b: ClassId) -> (ClassId, ClassId) {
     if a <= b {
         (a, b)
@@ -1372,6 +1419,7 @@ fn ordered(a: ClassId, b: ClassId) -> (ClassId, ClassId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn t(s: &str) -> Term {
         let sexpr = denali_term::sexpr::parse_one(s).unwrap();
@@ -1857,5 +1905,276 @@ mod tests {
         eg.rebuild().unwrap();
         let cone = eg.dirty_cone(&[x], 2);
         assert!(cone.contains(&eg.find(hm)), "cone: {cone:?}");
+    }
+
+    impl EGraph {
+        /// The repair loop without the short route: every parent entry
+        /// removes its memo key, re-interns its slice and probes the
+        /// memo. The oracle for [`EGraph::repair_dirty`].
+        fn repair_dirty_reference(&mut self) -> Repair {
+            while let Some(dirty) = self.dirty.pop() {
+                let dirty = self.find(dirty);
+                let parents = std::mem::take(&mut self.class_mut(dirty).parents);
+                let mut new_parents: Vec<(NodeId, ClassId)> = Vec::new();
+                let mut parent_index: HashMap<(Op, SliceId), usize> = HashMap::new();
+                for (nid, node_class) in parents {
+                    let op = self.node_ops[nid.index()];
+                    self.memo.remove(&(op, self.node_slices[nid.index()]));
+                    let key = (op, self.canonicalize_slice(nid));
+                    let node_class = self.find(node_class);
+                    if let Some(&i) = parent_index.get(&key) {
+                        self.union(new_parents[i].1, node_class)?;
+                    }
+                    let node_class = self.find(node_class);
+                    if let Some(&memo_class) = self.memo.get(&key) {
+                        let memo_class = self.find(memo_class);
+                        if memo_class != node_class {
+                            self.union(memo_class, node_class)?;
+                        }
+                    }
+                    let node_class = self.find(node_class);
+                    self.memo.insert(key, node_class);
+                    match parent_index.get(&key) {
+                        Some(&i) => new_parents[i].1 = node_class,
+                        None => {
+                            parent_index.insert(key, new_parents.len());
+                            new_parents.push((nid, node_class));
+                        }
+                    }
+                    self.try_fold_parent(node_class)?;
+                }
+                let dirty = self.find(dirty);
+                self.class_mut(dirty).parents.extend(new_parents);
+            }
+            Ok(())
+        }
+    }
+
+    /// A sortable stand-in for an [`Op`].
+    type OpRank = (u8, Option<Symbol>, u64);
+
+    fn op_rank(op: Op) -> OpRank {
+        match op {
+            Op::Sym(s) => (0, Some(s), 0),
+            Op::Const(v) => (1, None, v),
+            Op::Var(s) => (2, Some(s), 0),
+        }
+    }
+
+    /// Everything congruence repair can change, read out in an order
+    /// that does not depend on hash-map iteration. Stored class ids
+    /// are kept as stored, not passed through `find`: equal snapshots
+    /// mean both loops wrote the same ids, and so also agree on every
+    /// `find`.
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        uf: Vec<u32>,
+        roots: Vec<ClassId>,
+        classes: Vec<Option<EClass>>,
+        node_slices: Vec<SliceId>,
+        constants: Vec<(u64, ClassId)>,
+        uncombinable: Vec<(ClassId, ClassId)>,
+        memo: Vec<(OpRank, Vec<ClassId>, ClassId)>,
+        journal: (Vec<ClassId>, Vec<u64>),
+        generation: u64,
+        const_epoch: u64,
+        counts: OpCounts,
+        memory: MemoryStats,
+    }
+
+    fn snapshot(eg: &EGraph) -> Snapshot {
+        let mut constants: Vec<(u64, ClassId)> =
+            eg.constants.iter().map(|(&v, &c)| (v, c)).collect();
+        constants.sort();
+        let mut uncombinable: Vec<(ClassId, ClassId)> = eg.uncombinable.iter().copied().collect();
+        uncombinable.sort();
+        let mut memo: Vec<_> = eg
+            .memo
+            .iter()
+            .map(|(&(op, s), &c)| (op_rank(op), eg.pool.get(s).to_vec(), c))
+            .collect();
+        memo.sort();
+        Snapshot {
+            uf: eg.uf.clone(),
+            roots: (0..eg.uf.len())
+                .map(|i| eg.find(ClassId(i as u32)))
+                .collect(),
+            classes: eg.classes.clone(),
+            node_slices: eg.node_slices.clone(),
+            constants,
+            uncombinable,
+            memo,
+            journal: (eg.journal.classes.clone(), eg.journal.constants.clone()),
+            generation: eg.generation,
+            const_epoch: eg.const_epoch,
+            counts: eg.op_counts(),
+            memory: eg.memory_stats(),
+        }
+    }
+
+    /// Rebuilds two clones of `eg`, one with the reference loop and one
+    /// with the real one, asserts they end identical, and returns the
+    /// real one's result and graph.
+    fn rebuild_against_reference(eg: &EGraph) -> (Repair, EGraph) {
+        let mut reference = eg.clone();
+        let expected = reference.rebuild_with(EGraph::repair_dirty_reference);
+        let mut real = eg.clone();
+        let got = real.rebuild();
+        assert_eq!(got, expected, "rebuild results differ");
+        if got.is_ok() {
+            assert_eq!(snapshot(&real), snapshot(&reference));
+        }
+        (got, real)
+    }
+
+    /// A random term over leaves a0..a5, small constants, unary `u`,
+    /// binary `f`/`g` and `add64` (which folds).
+    fn random_term(rng: &mut denali_prng::Rng, depth: usize) -> Term {
+        match rng.below(if depth == 0 { 2 } else { 6 }) {
+            0 => Term::leaf(format!("a{}", rng.below(6))),
+            1 => Term::constant(rng.below(4)),
+            2 => Term::call("u", vec![random_term(rng, depth - 1)]),
+            op => {
+                let name = ["f", "g", "add64"][op as usize - 3];
+                let a = random_term(rng, depth - 1);
+                let b = random_term(rng, depth - 1);
+                Term::call(name, vec![a, b])
+            }
+        }
+    }
+
+    #[test]
+    fn repair_matches_the_reference_loop() {
+        // Random add/union/clause/distinction batches, each followed by
+        // a rebuild compared against the reference. A contradiction
+        // ends the case once both loops report the same error.
+        fn pick(rng: &mut denali_prng::Rng, ids: &[ClassId]) -> ClassId {
+            ids[rng.below_usize(ids.len())]
+        }
+        denali_prng::forall("repair_matches_the_reference_loop", 96, |rng| {
+            let mut eg = EGraph::new();
+            let mut ids: Vec<ClassId> = Vec::new();
+            for _ in 0..rng.range(3, 10) {
+                for _ in 0..rng.range(4, 24) {
+                    match rng.below(if ids.len() < 2 { 1 } else { 16 }) {
+                        0..=5 => ids.push(eg.add_term(&random_term(rng, 3)).unwrap()),
+                        6..=12 => {
+                            let (a, b) = (pick(rng, &ids), pick(rng, &ids));
+                            // Two constants cannot merge; the union would
+                            // fail after taking one class apart.
+                            if eg.constant(a).is_none() || eg.constant(b).is_none() {
+                                eg.union(a, b).ok();
+                            }
+                        }
+                        13 | 14 => {
+                            let lit = |rng: &mut denali_prng::Rng| {
+                                let (a, b) = (pick(rng, &ids), pick(rng, &ids));
+                                if rng.below(3) == 0 {
+                                    EqLiteral::Ne(a, b)
+                                } else {
+                                    EqLiteral::Eq(a, b)
+                                }
+                            };
+                            let clause = vec![lit(rng), lit(rng)];
+                            eg.add_clause(clause);
+                        }
+                        _ => {
+                            let (a, b) = (pick(rng, &ids), pick(rng, &ids));
+                            eg.assert_distinct(a, b).ok();
+                        }
+                    }
+                }
+                let (result, rebuilt) = rebuild_against_reference(&eg);
+                if result.is_err() {
+                    return;
+                }
+                eg = rebuilt;
+            }
+        });
+    }
+
+    /// Copies arena node `nid` into a new class of its own, with the
+    /// same op and slice, past the memo, and records it as a parent of
+    /// each child. Two congruent nodes in two classes, both with a
+    /// canonical slice: the public API never leaves this state, because
+    /// the memo joins congruent nodes as soon as either is re-keyed.
+    fn duplicate_node(eg: &mut EGraph, nid: NodeId) -> ClassId {
+        let id = ClassId(eg.uf.len() as u32);
+        let dup = NodeId(eg.node_ops.len() as u32);
+        eg.node_ops.push(eg.node_ops[nid.index()]);
+        eg.node_slices.push(eg.node_slices[nid.index()]);
+        eg.uf.push(id.0);
+        eg.classes.push(Some(EClass {
+            nodes: vec![dup],
+            ..EClass::default()
+        }));
+        eg.live_classes += 1;
+        for child in eg.node_children(nid).to_vec() {
+            eg.class_mut(child).parents.push((dup, id));
+        }
+        id
+    }
+
+    #[test]
+    fn short_route_runs_the_parent_index_union() {
+        // x's parent list holds f(x) and its copy, both canonical: the
+        // copy's entry takes the short route, finds f(x) under its key
+        // in the parent index and performs the union there.
+        let mut eg = EGraph::new();
+        let fx = eg.add_term(&t("(f x)")).unwrap();
+        let x = eg.lookup_term(&t("x")).unwrap();
+        let fx_node = eg.class_node_ids(fx)[0];
+        let copy = duplicate_node(&mut eg, fx_node);
+        eg.dirty.push(x);
+        assert_ne!(eg.find(fx), eg.find(copy));
+        let before = eg.op_counts();
+        let (result, rebuilt) = rebuild_against_reference(&eg);
+        result.unwrap();
+        assert_eq!(rebuilt.find(fx), rebuilt.find(copy));
+        assert_eq!(rebuilt.op_counts().since(before).congruence_unions, 1);
+        assert_eq!(rebuilt.class_parents(x).len(), 1, "one entry per key");
+    }
+
+    #[test]
+    fn seeded_hash_spreads_keys_that_differ_only_in_high_bits() {
+        use crate::hash::SeededState;
+        use std::hash::BuildHasher;
+        // Keys a client could choose to share every low bit: constants
+        // that differ only above bit 40, and class-id pairs that differ
+        // only above bit 20. A hash that leaves high input bits in high
+        // output bits would put each set in one bucket of a small table.
+        let state = SeededState::default();
+        let low_bits = |hashes: Vec<u64>| {
+            hashes
+                .iter()
+                .map(|h| h & 0xfff)
+                .collect::<HashSet<u64>>()
+                .len()
+        };
+        let consts: Vec<(Op, SliceId)> = (0..4096u64)
+            .map(|k| (Op::Const(k << 40), SliceId(3)))
+            .collect();
+        let pairs: Vec<(ClassId, ClassId)> = (0..4096u32)
+            .map(|k| (ClassId(k << 20), ClassId((k << 20) | 1)))
+            .collect();
+        let spread = low_bits(consts.iter().map(|k| state.hash_one(k)).collect());
+        assert!(
+            spread >= 2000,
+            "constants: {spread} of 4096 low-12-bit values"
+        );
+        let spread = low_bits(pairs.iter().map(|k| state.hash_one(k)).collect());
+        assert!(
+            spread >= 2000,
+            "class pairs: {spread} of 4096 low-12-bit values"
+        );
+        // The seed is per process: maps built apart hash alike and find
+        // each other's keys.
+        let a: SeededMap<(Op, SliceId), usize> = consts.iter().map(|&k| (k, 0)).collect();
+        let b: SeededSet<(Op, SliceId)> = consts.iter().rev().copied().collect();
+        assert!(a.keys().all(|k| b.contains(k)) && b.iter().all(|k| a.contains_key(k)));
+        assert_eq!(
+            SeededState::default().hash_one(consts[7]),
+            state.hash_one(consts[7])
+        );
     }
 }

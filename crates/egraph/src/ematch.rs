@@ -18,6 +18,7 @@ use std::collections::HashSet;
 use denali_term::{Op, Symbol, Term};
 
 use crate::egraph::{ClassId, EGraph};
+use crate::hash::SeededSet;
 
 /// A substitution from pattern variables to equivalence classes.
 ///
@@ -230,7 +231,7 @@ fn match_class(
 /// keeps the pass linear.
 fn dedup_keep_order(substs: &mut Vec<Subst>) {
     let keep: Vec<bool> = {
-        let mut seen = HashSet::with_capacity(substs.len());
+        let mut seen = SeededSet::with_capacity_and_hasher(substs.len(), Default::default());
         substs.iter().map(|s| seen.insert(s)).collect()
     };
     let mut keep = keep.into_iter();

@@ -27,7 +27,10 @@
 //!   analysis that proves disequalities like `p ≠ p + 8`,
 //! * [`EGraph::count_ways`] — counting the distinct computations the
 //!   graph represents (the paper's "more than a hundred different ways
-//!   of computing a + b + c + d + e").
+//!   of computing a + b + c + d + e"),
+//! * [`SeededMap`] / [`SeededSet`] — hash maps keyed by a per-process
+//!   seeded multiply hasher, used on the hashcons, congruence repair
+//!   and match dedup paths.
 //!
 //! # Example
 //!
@@ -45,6 +48,7 @@
 
 mod egraph;
 mod ematch;
+mod hash;
 mod ways;
 
 pub use egraph::{
@@ -53,3 +57,4 @@ pub use egraph::{
 pub use ematch::{
     candidates, ematch, ematch_classes, ematch_delta, ematch_in_class, pattern_depth, Subst,
 };
+pub use hash::{SeededHasher, SeededMap, SeededSet, SeededState};
