@@ -7,10 +7,12 @@
 use denali_arch::Machine;
 use denali_axioms::SaturationLimits;
 use denali_bench::harness::{BenchmarkId, Criterion};
-use denali_core::encode::{encode, EncodeOptions, IncrementalEncoding};
+use denali_core::encode::{encode, EncodeOptions, IncrementalEncoding, Rules};
 use denali_core::machine_terms::enumerate;
 use denali_core::matcher::match_gma;
 use denali_lang::{lower_proc, parse_program};
+use denali_sat::Solver;
+use denali_trace::Tracer;
 use std::hint::black_box;
 
 /// The serial search's probe order for byteswap4: doubling ascent to
@@ -28,12 +30,13 @@ fn bench(c: &mut Criterion) {
     .unwrap();
     let machine = Machine::ev6();
     let cands = enumerate(&matched, &machine, &gma.inputs(), None).unwrap();
+    let rules = Rules::new(&matched, &cands, &machine, &EncodeOptions::default());
 
     let mut group = c.benchmark_group("e4");
     for k in [4u32, 5, 6, 8] {
         group.bench_with_input(BenchmarkId::new("encode_and_solve", k), &k, |b, &k| {
             b.iter(|| {
-                let enc = encode(&matched, &cands, &machine, k, &EncodeOptions::default());
+                let enc = encode(&rules, k);
                 let mut solver = enc.cnf.to_solver();
                 black_box(solver.solve())
             })
@@ -44,7 +47,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("probe_ladder_fresh", |b| {
         b.iter(|| {
             for k in PROBE_LADDER {
-                let enc = encode(&matched, &cands, &machine, k, &EncodeOptions::default());
+                let enc = encode(&rules, k);
                 let mut solver = enc.cnf.to_solver();
                 black_box(solver.solve());
             }
@@ -52,10 +55,9 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("probe_ladder_incremental", |b| {
         b.iter(|| {
-            let mut inc =
-                IncrementalEncoding::new(&matched, &cands, &machine, &EncodeOptions::default());
+            let mut inc = IncrementalEncoding::new(&rules, Solver::new());
             for k in PROBE_LADDER {
-                black_box(inc.probe(k).satisfiable);
+                black_box(inc.probe(k, &Tracer::disabled()).satisfiable);
             }
         })
     });

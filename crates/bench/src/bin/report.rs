@@ -11,9 +11,13 @@ use denali_arch::Machine;
 use denali_axioms::{alpha_axioms, math_axioms, saturate, SaturationLimits};
 use denali_baseline::{brute_search, rewrite_compile, BruteConfig};
 use denali_bench::{compile_checked, default_denali, programs};
+use denali_core::encode::{encode, Rules};
+use denali_core::machine_terms::enumerate_with_misses;
+use denali_core::matcher::match_gma;
 use denali_core::{Denali, Options, SolverChoice};
 use denali_egraph::EGraph;
 use denali_lang::{lower_proc, parse_program};
+use denali_sat::SolveResult;
 use denali_term::Term;
 
 fn main() {
@@ -314,41 +318,49 @@ fn e4_sat_sizes() {
         "byteswap4 SAT problem sizes",
         "1639 vars / 4613 clauses at the 4-cycle refutation up to 9203 / 26415 at 8 cycles",
     );
-    // Per-budget formula sizes want fresh per-probe solvers; the
-    // incremental run below reports cumulative live-solver sizes.
-    let denali = Denali::new(Options {
-        incremental: false,
-        ..default_denali().options().clone()
-    });
+    // The search answers every probe on one live solver, so its probe
+    // log reports cumulative sizes. The per-budget table encodes each
+    // probed budget standalone and solves it on a fresh solver.
+    let denali = default_denali();
     let result = denali
         .compile_source(programs::BYTESWAP4)
         .expect("compiles");
     let compiled = &result.gmas[0];
-    let mut probes = compiled.probes.clone();
-    probes.sort_by_key(|p| p.k);
-    for p in &probes {
+    let prepared = denali
+        .prepare_source(programs::BYTESWAP4)
+        .expect("prepares");
+    let o = denali.options();
+    let gma = &prepared.gmas[0];
+    let matched = match_gma(gma, &prepared.axioms, &o.saturation).expect("matches");
+    let candidates = enumerate_with_misses(
+        &matched,
+        &o.machine,
+        &gma.inputs(),
+        o.load_latency,
+        &gma.miss_addrs,
+        o.miss_latency,
+    )
+    .expect("enumerates");
+    let rules = Rules::new(&matched, &candidates, &o.machine, &o.encode);
+    let mut budgets: Vec<u32> = compiled.probes.iter().map(|p| p.k).collect();
+    budgets.sort_unstable();
+    for k in budgets {
+        let encoding = encode(&rules, k);
+        let mut solver = encoding.cnf.to_solver();
+        let t = Instant::now();
+        let satisfiable = solver.solve() == SolveResult::Sat;
         println!(
-            "    measured: K={}: {:6} vars, {:7} clauses -> {}  ({:.1} ms solve)",
-            p.k,
-            p.vars,
-            p.clauses,
-            if p.satisfiable { "SAT" } else { "UNSAT" },
-            p.solve_ms
+            "    measured: K={k}: {:6} vars, {:7} clauses -> {}  ({:.1} ms solve)",
+            encoding.num_vars(),
+            encoding.num_clauses(),
+            if satisfiable { "SAT" } else { "UNSAT" },
+            t.elapsed().as_secs_f64() * 1e3
         );
     }
 
-    // The same search on one persistent solver probed under
-    // assumptions: probe order, with learned clauses carried into each
-    // probe from its predecessors.
-    let incremental = Denali::new(Options {
-        incremental: true,
-        ..default_denali().options().clone()
-    });
-    let result = incremental
-        .compile_source(programs::BYTESWAP4)
-        .expect("compiles");
-    let compiled = &result.gmas[0];
-    println!("    incremental (one solver, probe order):");
+    // The search itself: probe order, with learned clauses carried into
+    // each probe from its predecessors.
+    println!("    live solver (probe order):");
     for p in &compiled.probes {
         let carried = p.solver.map_or(0, |s| s.carried_learned);
         println!(
@@ -660,15 +672,22 @@ fn e8_extras() {
         lcp2.gmas[0].program.len()
     );
     // Solver-substitution check (the paper swapped SAT solvers freely):
-    // the DPLL engine must agree with CDCL on a small problem.
+    // the DPLL engine answers the same probes, and the winner is decoded
+    // the same way, so it must print the CDCL program.
     let dpll = Denali::new(Options {
         solver: SolverChoice::Dpll,
         ..Options::default()
     });
     let via_dpll = dpll.compile_source(programs::LCP2).unwrap();
+    let same = via_dpll.gmas[0].program.listing(4) == lcp2.gmas[0].program.listing(4);
     println!(
-        "              solver substitution: DPLL engine also finds {} cycles\n",
-        via_dpll.gmas[0].cycles
+        "              solver substitution: DPLL engine also finds {} cycles ({})\n",
+        via_dpll.gmas[0].cycles,
+        if same {
+            "same program"
+        } else {
+            "DIFFERENT program"
+        }
     );
 }
 

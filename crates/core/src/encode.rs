@@ -20,14 +20,21 @@
 //!    `B(Q,i,c) ⇔ B(Q,i-1,c) ∨ {launches completing at i on c}`,
 //! 4. issue exclusivity — at most one launch per `(cycle, unit)` slot,
 //! 5. goals computed within budget — `∨_c B(G, K-1, c)` per goal class.
+//!
+//! [`Rules`] derives these families once per search. Two encoders emit
+//! clauses from it: [`encode`] builds the standalone formula for one
+//! budget (the canonical decode, DIMACS dumps), and
+//! [`IncrementalEncoding`] grows one live formula that answers every
+//! probe of the search.
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 use denali_arch::{Machine, Unit};
 use denali_egraph::ClassId;
 use denali_sat::dimacs::Cnf;
-use denali_sat::{Lit, SolveResult, Solver, SolverStats, Var};
+use denali_sat::{Lit, SolveResult, SolverBackend, SolverStats, Var};
 use denali_trace::{field, Tracer};
 
 use crate::machine_terms::{CandidateKind, Candidates};
@@ -61,19 +68,282 @@ pub struct LaunchCoord {
     pub unit: Unit,
 }
 
-/// The CNF for one cycle budget, with the variable maps needed to decode
-/// a model.
+/// `B` variable index: (class, cycle, cluster) → var.
+type Avail = HashMap<(ClassId, u32, usize), Var>;
+
+/// A memory-order rule (§7) between two memory candidates whose
+/// addresses may alias: launching `first` at cycle `a` and `second` at
+/// cycle `b` is forbidden when `a > b` (`strict`: a load must not issue
+/// after a store it may alias) or when `a ≥ b` (an earlier store level
+/// must issue strictly before a later one).
+#[derive(Clone, Copy, Debug)]
+struct OrderPair {
+    first: usize,
+    second: usize,
+    strict: bool,
+}
+
+impl OrderPair {
+    fn forbids(&self, a: u32, b: u32) -> bool {
+        if self.strict {
+            a > b
+        } else {
+            a >= b
+        }
+    }
+}
+
+/// The §6/§7 rules of one search, derived once from the candidates and
+/// shared by both encoders. Each encoder keeps its own variable and
+/// clause order; these rules fix what the clauses say: the launch
+/// window, the readiness classes, the completion events, one ladder
+/// rung and the memory-order pairs.
+pub struct Rules<'a> {
+    candidates: &'a Candidates,
+    /// Clusters the schedule models (1 when the machine has none).
+    clusters: usize,
+    /// Cross-cluster bypass delay.
+    delay: u32,
+    /// Per candidate: the canonical class its value lands in (`None`
+    /// for stores, which produce no register value).
+    value: Vec<Option<ClassId>>,
+    /// Per candidate: the canonical register arguments that are not
+    /// inputs.
+    deps: Vec<Vec<ClassId>>,
+    /// Per candidate: the canonical guard class when the operation is
+    /// unsafe (§7) and the guard is not an input.
+    guard: Vec<Option<ClassId>>,
+    /// Memory-order pairs, in emission order.
+    order_pairs: Vec<OrderPair>,
+}
+
+impl<'a> Rules<'a> {
+    /// Derives the rules for scheduling `candidates` on `machine`.
+    pub fn new(
+        matched: &Matched,
+        candidates: &'a Candidates,
+        machine: &Machine,
+        options: &EncodeOptions,
+    ) -> Rules<'a> {
+        let eg = &matched.egraph;
+        // A class the schedule must produce: canonical, or `None` for an
+        // input (available everywhere from cycle 0).
+        let pending = |c: ClassId| Some(eg.find(c)).filter(|&c| !candidates.is_available(c));
+        let guard_class = candidates.guard_class.and_then(pending);
+        let mut value = Vec::with_capacity(candidates.list.len());
+        let mut deps = Vec::with_capacity(candidates.list.len());
+        let mut guard = Vec::with_capacity(candidates.list.len());
+        for cand in &candidates.list {
+            let unsafe_op = match cand.kind {
+                CandidateKind::Store { .. } => true,
+                CandidateKind::Load { .. } => !options.speculate_loads,
+                _ => false,
+            };
+            let is_store = matches!(cand.kind, CandidateKind::Store { .. });
+            value.push((!is_store).then(|| eg.find(cand.class)));
+            deps.push(
+                cand.register_deps()
+                    .into_iter()
+                    .filter_map(pending)
+                    .collect(),
+            );
+            guard.push(guard_class.filter(|_| unsafe_op));
+        }
+
+        let addr_of = |t: usize| -> ClassId {
+            match candidates.list[t].kind {
+                CandidateKind::Load { addr, .. } | CandidateKind::Store { addr, .. } => addr,
+                _ => unreachable!("memory candidate"),
+            }
+        };
+        let may_alias = |a: usize, b: usize| !eg.provably_distinct(addr_of(a), addr_of(b));
+        let store_cands: Vec<usize> = candidates.store_levels.iter().flatten().copied().collect();
+        let mut order_pairs = Vec::new();
+        for &l in &candidates.loads() {
+            for &s in &store_cands {
+                if may_alias(l, s) {
+                    order_pairs.push(OrderPair {
+                        first: l,
+                        second: s,
+                        strict: true,
+                    });
+                }
+            }
+        }
+        for (li, level_a) in candidates.store_levels.iter().enumerate() {
+            for level_b in &candidates.store_levels[li + 1..] {
+                for &s1 in level_a {
+                    for &s2 in level_b {
+                        if may_alias(s1, s2) {
+                            order_pairs.push(OrderPair {
+                                first: s1,
+                                second: s2,
+                                strict: false,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+
+        Rules {
+            candidates,
+            clusters: machine.num_clusters(),
+            delay: machine.cluster_delay(),
+            value,
+            deps,
+            guard,
+            order_pairs,
+        }
+    }
+
+    fn cluster_of(&self, unit: Unit) -> usize {
+        if self.clusters == 1 {
+            0
+        } else {
+            unit.cluster()
+        }
+    }
+
+    /// The classes that get an availability ladder: every needed class
+    /// that is not an input (inputs are available everywhere from cycle
+    /// 0).
+    fn ladder_classes(&self) -> impl Iterator<Item = ClassId> + '_ {
+        let c = self.candidates;
+        c.needed_classes
+            .iter()
+            .copied()
+            .filter(move |&q| !c.is_available(q))
+    }
+
+    /// Earliest cycle at which each class's value could be usable by a
+    /// consumer (critical path from the inputs, ignoring resource
+    /// limits), capped just past the horizon of budget `k`.
+    fn earliest_completion(&self, k: u32) -> HashMap<ClassId, u32> {
+        let horizon = k.saturating_add(1);
+        let mut usable: HashMap<ClassId, u32> = HashMap::new();
+        loop {
+            let mut changed = false;
+            for (t, cand) in self.candidates.list.iter().enumerate() {
+                let Some(class) = self.value[t] else {
+                    continue;
+                };
+                let mut start = 0u32;
+                let mut feasible = true;
+                for dep in &self.deps[t] {
+                    match usable.get(dep) {
+                        Some(&e) if e <= horizon => start = start.max(e),
+                        _ => {
+                            feasible = false;
+                            break;
+                        }
+                    }
+                }
+                if !feasible {
+                    continue;
+                }
+                let finish = start
+                    .saturating_add(cand.latency)
+                    .min(horizon.saturating_add(1));
+                let entry = usable.entry(class).or_insert(u32::MAX);
+                if finish < *entry {
+                    *entry = finish;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return usable;
+            }
+        }
+    }
+
+    /// Every candidate's launch window at budget `k`: from the earliest
+    /// cycle its register arguments could be ready (same-cluster best
+    /// case) to the last cycle at which it still completes within `k`.
+    /// `None` if it cannot launch at all.
+    fn launch_windows(&self, k: u32) -> Vec<Option<RangeInclusive<u32>>> {
+        let earliest = self.earliest_completion(k);
+        let window = |t: usize, latency: u32| {
+            if latency > k {
+                return None; // cannot complete within the budget
+            }
+            let mut start = 0u32;
+            for dep in &self.deps[t] {
+                start = start.max(*earliest.get(dep)?); // never computable
+            }
+            (start <= k && latency <= k - start).then(|| start..=k - latency)
+        };
+        let list = &self.candidates.list;
+        (0..list.len())
+            .map(|t| window(t, list[t].latency))
+            .collect()
+    }
+
+    /// The cycle in which launch `at` completes.
+    fn completion(&self, at: &LaunchCoord) -> u32 {
+        at.cycle + self.candidates.list[at.candidate].latency - 1
+    }
+
+    /// Where launch `at` makes its value usable, as `(class, cycle,
+    /// cluster)`: on its own cluster in its completion cycle, and on the
+    /// other cluster `cluster_delay` cycles later. Stores produce no
+    /// register value.
+    fn events(&self, at: &LaunchCoord) -> impl Iterator<Item = (ClassId, u32, usize)> {
+        let complete = self.completion(at);
+        let own = self.cluster_of(at.unit);
+        let class = self.value[at.candidate];
+        let cross = class
+            .filter(|_| self.clusters > 1)
+            .map(|q| (q, complete + self.delay, 1 - own));
+        class.map(|q| (q, complete, own)).into_iter().chain(cross)
+    }
+
+    /// Argument readiness (family 2, plus §7's guard before unsafe
+    /// operations): launch `var` at `at` needs each readiness class on
+    /// its cluster by the end of the previous cycle, so a launch at
+    /// cycle 0 that needs any is impossible.
+    fn readiness(&self, var: Var, at: &LaunchCoord, avail: &Avail, mut clause: impl FnMut(&[Lit])) {
+        let t = at.candidate;
+        for dep in self.deps[t].iter().chain(&self.guard[t]) {
+            if at.cycle == 0 {
+                clause(&[Lit::neg(var)]);
+                break;
+            }
+            let bvar = avail[&(*dep, at.cycle - 1, self.cluster_of(at.unit))];
+            clause(&[Lit::neg(var), Lit::pos(bvar)]);
+        }
+    }
+
+    /// One availability-ladder rung (families 1 and 3): `B(Q,i,c) ⇔
+    /// B(Q,i-1,c) ∨ events`, where `b` is `B(Q,i,c)`, `prev` is
+    /// `B(Q,i-1,c)` (absent at cycle 0) and `events` are the launches
+    /// completing into `(Q,i,c)`.
+    fn ladder_rung(b: Var, prev: Option<Var>, events: &[Lit], mut clause: impl FnMut(&[Lit])) {
+        // B(i) -> B(i-1) ∨ events
+        let forward: Vec<Lit> = std::iter::once(Lit::neg(b))
+            .chain(prev.map(Lit::pos))
+            .chain(events.iter().copied())
+            .collect();
+        clause(&forward);
+        // B(i-1) -> B(i); event -> B(i)
+        if let Some(p) = prev {
+            clause(&[Lit::neg(p), Lit::pos(b)]);
+        }
+        for &e in events {
+            clause(&[!e, Lit::pos(b)]);
+        }
+    }
+}
+
+/// The CNF for one cycle budget, with the launch map needed to decode a
+/// model.
 #[derive(Clone, Debug)]
 pub struct Encoding {
     /// The formula.
     pub cnf: Cnf,
-    /// Cycle budget encoded.
-    pub k: u32,
     /// Launch variable coordinates, indexed by SAT variable order
     /// (launch variables come first).
     pub launches: Vec<LaunchCoord>,
-    /// `B` variable index: (class, cycle, cluster) → var.
-    pub avail: HashMap<(ClassId, u32, usize), Var>,
 }
 
 impl Encoding {
@@ -146,111 +416,22 @@ impl Builder {
     }
 }
 
-/// Earliest cycle at which each class's value could be usable by a
-/// consumer (critical path from the inputs, ignoring resource limits).
-fn earliest_completion(
-    candidates: &Candidates,
-    eg: &denali_egraph::EGraph,
-    k: u32,
-) -> HashMap<ClassId, u32> {
-    let horizon = k + 1;
-    let mut usable: HashMap<ClassId, u32> = HashMap::new();
-    loop {
-        let mut changed = false;
-        for cand in &candidates.list {
-            if matches!(cand.kind, CandidateKind::Store { .. }) {
-                continue;
-            }
-            let class = eg.find(cand.class);
-            let mut start = 0u32;
-            let mut feasible = true;
-            for dep in cand.register_deps() {
-                let dep = eg.find(dep);
-                if candidates.is_available(dep) {
-                    continue;
-                }
-                match usable.get(&dep) {
-                    Some(&e) if e <= horizon => start = start.max(e),
-                    _ => {
-                        feasible = false;
-                        break;
-                    }
-                }
-            }
-            if !feasible {
-                continue;
-            }
-            let finish = (start + cand.latency).min(horizon + 1);
-            let entry = usable.entry(class).or_insert(u32::MAX);
-            if finish < *entry {
-                *entry = finish;
-                changed = true;
-            }
-        }
-        if !changed {
-            return usable;
-        }
-    }
-}
-
 /// Generates the CNF asserting "a legal `k`-cycle schedule computing the
 /// goals exists". Unsatisfiability of this formula is the paper's
 /// conjecture that no `k`-cycle program exists.
-pub fn encode(
-    matched: &Matched,
-    candidates: &Candidates,
-    machine: &Machine,
-    k: u32,
-    options: &EncodeOptions,
-) -> Encoding {
-    let eg = &matched.egraph;
-    let clusters = machine.num_clusters();
-    let cluster_of = |u: Unit| -> usize {
-        if clusters == 1 {
-            0
-        } else {
-            u.cluster()
-        }
-    };
-    let delay = machine.cluster_delay();
-
+pub fn encode(rules: &Rules, k: u32) -> Encoding {
+    let candidates = rules.candidates;
+    let clusters = rules.clusters;
     let mut b = Builder {
         num_vars: 0,
         clauses: Vec::new(),
     };
 
-    // Earliest feasible completion cycle per class (critical path from
-    // the inputs), used to prune launch variables that could never
-    // satisfy their argument-readiness constraints.
-    let earliest = earliest_completion(candidates, eg, k);
-
     // ---- Launch variables ----
     let mut launches: Vec<LaunchCoord> = Vec::new();
-    for (t, cand) in candidates.list.iter().enumerate() {
-        if cand.latency > k {
-            continue; // cannot complete within the budget
-        }
-        // A launch cannot start before every register argument could
-        // possibly be ready (same-cluster best case).
-        let mut start = 0u32;
-        for dep in cand.register_deps() {
-            let dep = eg.find(dep);
-            if candidates.is_available(dep) {
-                continue;
-            }
-            match earliest.get(&dep) {
-                Some(&e) => start = start.max(e),
-                None => {
-                    start = k + 1; // dependency never computable
-                    break;
-                }
-            }
-        }
-        if start > k || cand.latency > k - start {
-            continue;
-        }
-        for cycle in start..=(k - cand.latency) {
-            for &unit in &cand.units {
+    for (t, window) in rules.launch_windows(k).into_iter().enumerate() {
+        for cycle in window.into_iter().flatten() {
+            for &unit in &candidates.list[t].units {
                 let var = b.var();
                 debug_assert_eq!(var.index(), launches.len());
                 launches.push(LaunchCoord {
@@ -263,112 +444,45 @@ pub fn encode(
     }
 
     // ---- Availability variables (B ladder) ----
-    let mut avail: HashMap<(ClassId, u32, usize), Var> = HashMap::new();
-    for &class in &candidates.needed_classes {
-        if candidates.is_available(class) {
-            continue; // inputs are available everywhere from cycle 0
-        }
+    let mut avail = Avail::new();
+    for class in rules.ladder_classes() {
         for cycle in 0..k {
             for cluster in 0..clusters {
-                let var = b.var();
-                avail.insert((class, cycle, cluster), var);
+                avail.insert((class, cycle, cluster), b.var());
             }
         }
     }
 
-    // Completion events: (class, cycle, cluster) -> launch literals.
+    // Completion events within the budget: (class, cycle, cluster) ->
+    // launch literals.
     let mut completions: HashMap<(ClassId, u32, usize), Vec<Lit>> = HashMap::new();
-    for (v, coord) in launches.iter().enumerate() {
-        let (t, cycle, unit) = (coord.candidate, coord.cycle, coord.unit);
-        let var = Var::from_index(v);
-        let cand = &candidates.list[t];
-        if matches!(cand.kind, CandidateKind::Store { .. }) {
-            continue; // stores produce no register value
-        }
-        let class = eg.find(cand.class);
-        let own = cluster_of(unit);
-        let complete = cycle + cand.latency - 1;
-        if complete < k {
+    for (v, at) in launches.iter().enumerate() {
+        for event in rules.events(at).filter(|&(_, cycle, _)| cycle < k) {
             completions
-                .entry((class, complete, own))
+                .entry(event)
                 .or_default()
-                .push(Lit::pos(var));
-        }
-        if clusters > 1 {
-            let other = 1 - own;
-            let cross = complete + delay;
-            if cross < k {
-                completions
-                    .entry((class, cross, other))
-                    .or_default()
-                    .push(Lit::pos(var));
-            }
+                .push(Lit::pos(Var::from_index(v)));
         }
     }
 
-    // Ladder clauses: B(Q,i,c) ⇔ B(Q,i-1,c) ∨ completions(Q,i,c).
-    for &class in &candidates.needed_classes {
-        if candidates.is_available(class) {
-            continue;
-        }
+    // Ladder clauses.
+    for class in rules.ladder_classes() {
         for cycle in 0..k {
             for cluster in 0..clusters {
-                let bvar = avail[&(class, cycle, cluster)];
+                let prev = cycle.checked_sub(1).map(|i| avail[&(class, i, cluster)]);
                 let events = completions
                     .get(&(class, cycle, cluster))
-                    .cloned()
-                    .unwrap_or_default();
-                // B(i) -> B(i-1) ∨ events
-                let mut forward = vec![Lit::neg(bvar)];
-                if cycle > 0 {
-                    forward.push(Lit::pos(avail[&(class, cycle - 1, cluster)]));
-                }
-                forward.extend(events.iter().copied());
-                b.clause(forward);
-                // B(i-1) -> B(i); event -> B(i)
-                if cycle > 0 {
-                    b.clause(vec![
-                        Lit::neg(avail[&(class, cycle - 1, cluster)]),
-                        Lit::pos(bvar),
-                    ]);
-                }
-                for &e in &events {
-                    b.clause(vec![!e, Lit::pos(bvar)]);
-                }
+                    .map_or(&[][..], Vec::as_slice);
+                Rules::ladder_rung(avail[&(class, cycle, cluster)], prev, events, |c| {
+                    b.clause(c.to_vec())
+                });
             }
         }
     }
 
     // ---- Argument readiness ----
-    let guard_class = candidates.guard_class.map(|c| eg.find(c));
-    for (v, coord) in launches.iter().enumerate() {
-        let (t, cycle, unit) = (coord.candidate, coord.cycle, coord.unit);
-        let var = Var::from_index(v);
-        let cand = &candidates.list[t];
-        let mut deps = cand.register_deps();
-        // §7: unsafe operations wait for the guard.
-        let unsafe_op = match cand.kind {
-            CandidateKind::Store { .. } => true,
-            CandidateKind::Load { .. } => !options.speculate_loads,
-            _ => false,
-        };
-        if unsafe_op {
-            if let Some(g) = guard_class {
-                deps.push(g);
-            }
-        }
-        for dep in deps {
-            let dep = eg.find(dep);
-            if candidates.is_available(dep) {
-                continue;
-            }
-            if cycle == 0 {
-                b.clause(vec![Lit::neg(var)]);
-                break;
-            }
-            let bvar = avail[&(dep, cycle - 1, cluster_of(unit))];
-            b.clause(vec![Lit::neg(var), Lit::pos(bvar)]);
-        }
+    for (v, at) in launches.iter().enumerate() {
+        rules.readiness(Var::from_index(v), at, &avail, |c| b.clause(c.to_vec()));
     }
 
     // ---- Issue exclusivity: at most one launch per (cycle, unit) ----
@@ -411,59 +525,15 @@ pub fn encode(
     }
 
     // ---- Memory ordering (§7) ----
-    // Loads read the GMA's pre-state: a load must not issue after a
-    // store it may alias. Store levels must retain their chain order
-    // unless the addresses are provably distinct.
-    let loads = candidates.loads();
-    let store_cands: Vec<usize> = candidates.store_levels.iter().flatten().copied().collect();
-    let addr_of = |t: usize| -> ClassId {
-        match candidates.list[t].kind {
-            CandidateKind::Load { addr, .. } | CandidateKind::Store { addr, .. } => addr,
-            _ => unreachable!("memory candidate"),
-        }
-    };
-    let may_alias = |a: ClassId, b: ClassId| !eg.provably_distinct(a, b);
-    for &l in &loads {
-        for &s in &store_cands {
-            if !may_alias(addr_of(l), addr_of(s)) {
-                continue;
-            }
-            for (i1, lc1) in launches.iter().enumerate() {
-                if lc1.candidate != l {
-                    continue;
-                }
-                for (i2, lc2) in launches.iter().enumerate() {
-                    if lc2.candidate == s && lc1.cycle > lc2.cycle {
-                        b.clause(vec![
-                            Lit::neg(Var::from_index(i1)),
-                            Lit::neg(Var::from_index(i2)),
-                        ]);
-                    }
-                }
-            }
-        }
+    let mut by_candidate: Vec<Vec<(Var, u32)>> = vec![Vec::new(); candidates.list.len()];
+    for (v, at) in launches.iter().enumerate() {
+        by_candidate[at.candidate].push((Var::from_index(v), at.cycle));
     }
-    for (li, level_a) in candidates.store_levels.iter().enumerate() {
-        for level_b in &candidates.store_levels[li + 1..] {
-            for &s1 in level_a {
-                for &s2 in level_b {
-                    if !may_alias(addr_of(s1), addr_of(s2)) {
-                        continue;
-                    }
-                    // Earlier level must issue strictly before later.
-                    for (i1, lc1) in launches.iter().enumerate() {
-                        if lc1.candidate != s1 {
-                            continue;
-                        }
-                        for (i2, lc2) in launches.iter().enumerate() {
-                            if lc2.candidate == s2 && lc2.cycle <= lc1.cycle {
-                                b.clause(vec![
-                                    Lit::neg(Var::from_index(i1)),
-                                    Lit::neg(Var::from_index(i2)),
-                                ]);
-                            }
-                        }
-                    }
+    for pair in &rules.order_pairs {
+        for &(va, ca) in &by_candidate[pair.first] {
+            for &(vb, cb) in &by_candidate[pair.second] {
+                if pair.forbids(ca, cb) {
+                    b.clause(vec![Lit::neg(va), Lit::neg(vb)]);
                 }
             }
         }
@@ -474,9 +544,7 @@ pub fn encode(
             num_vars: b.num_vars,
             clauses: b.clauses,
         },
-        k,
         launches,
-        avail,
     }
 }
 
@@ -495,7 +563,7 @@ pub struct IncrementalProbe {
     pub clauses: usize,
     /// Milliseconds spent growing the encoding for this probe.
     pub encode_ms: f64,
-    /// Milliseconds inside [`Solver::solve_under`].
+    /// Milliseconds inside [`SolverBackend::solve_under`].
     pub solve_ms: f64,
     /// This probe's solver work (counters are per-probe deltas; gauges
     /// such as `carried_learned` describe the live solver).
@@ -503,13 +571,14 @@ pub struct IncrementalProbe {
 }
 
 /// The budget-*monotone* form of the [`encode`] formula, held inside one
-/// persistent [`Solver`] so a sequence of cycle-budget probes shares
-/// learned clauses, variable activity, and saved polarities.
+/// persistent [`SolverBackend`] so a sequence of cycle-budget probes
+/// shares whatever the backend keeps between solves (the CDCL solver:
+/// learned clauses, variable activity, and saved polarities).
 ///
 /// The trick is standard incremental BMC: variables and clauses cover
 /// cycles `0..horizon`, and every launch `L` completing at cycle `e`
 /// carries an *activation* clause `L ⇒ active[e]`. Probing budget `K ≤
-/// horizon` is then [`Solver::solve_under`] with assumptions
+/// horizon` is then [`SolverBackend::solve_under`] with assumptions
 /// `¬active[K..horizon]` (no launch may complete at or after cycle `K`),
 /// `goal_ok[K-1]` (every goal available by the end of cycle `K-1`), and
 /// `¬frontier` (the current store at-least-one clauses are in force).
@@ -530,19 +599,15 @@ pub struct IncrementalProbe {
 /// The probe answers are identical to solving [`encode`]'s fresh
 /// formula at each budget; only solver statistics and formula sizes
 /// differ (they are cumulative here).
-pub struct IncrementalEncoding<'a> {
-    matched: &'a Matched,
-    candidates: &'a Candidates,
-    machine: &'a Machine,
-    options: EncodeOptions,
-    solver: Solver,
+pub struct IncrementalEncoding<'a, B> {
+    rules: &'a Rules<'a>,
+    solver: B,
     horizon: u32,
     /// Launches created so far, per candidate: `(var, cycle)`.
     by_candidate: Vec<Vec<(Var, u32)>>,
     /// Highest launch cycle created per candidate (`None` = none yet).
     created_upto: Vec<Option<u32>>,
-    /// `B` variable index: (class, cycle, cluster) → var.
-    avail: HashMap<(ClassId, u32, usize), Var>,
+    avail: Avail,
     /// Completion events buffered for not-yet-emitted ladder cycles.
     events: HashMap<(ClassId, u32, usize), Vec<Lit>>,
     /// Activation literal per completion cycle (`0..horizon`).
@@ -557,53 +622,15 @@ pub struct IncrementalEncoding<'a> {
     level_lits: Vec<Vec<Lit>>,
     /// Guard literal of the current store at-least-one clauses.
     frontier: Option<Var>,
-    /// Memory-ordering conflicts `(a, b, strict)`: launching `a` at
-    /// cycle `ca` and `b` at `cb` is forbidden when `ca > cb` (strict)
-    /// or `ca ≥ cb`.
-    order_pairs: Vec<(usize, usize, bool)>,
     /// Store level index per store candidate.
     level_of: HashMap<usize, usize>,
 }
 
-impl<'a> IncrementalEncoding<'a> {
-    /// Creates an empty encoding (horizon 0); the first
-    /// [`IncrementalEncoding::probe`] grows it.
-    pub fn new(
-        matched: &'a Matched,
-        candidates: &'a Candidates,
-        machine: &'a Machine,
-        options: &EncodeOptions,
-    ) -> IncrementalEncoding<'a> {
-        let eg = &matched.egraph;
-        let addr_of = |t: usize| -> ClassId {
-            match candidates.list[t].kind {
-                CandidateKind::Load { addr, .. } | CandidateKind::Store { addr, .. } => addr,
-                _ => unreachable!("memory candidate"),
-            }
-        };
-        let may_alias = |a: ClassId, b: ClassId| !eg.provably_distinct(a, b);
-        let store_cands: Vec<usize> = candidates.store_levels.iter().flatten().copied().collect();
-        let mut order_pairs = Vec::new();
-        for &l in &candidates.loads() {
-            for &s in &store_cands {
-                if may_alias(addr_of(l), addr_of(s)) {
-                    // A load must not issue after a store it may alias.
-                    order_pairs.push((l, s, true));
-                }
-            }
-        }
-        for (li, level_a) in candidates.store_levels.iter().enumerate() {
-            for level_b in &candidates.store_levels[li + 1..] {
-                for &s1 in level_a {
-                    for &s2 in level_b {
-                        if may_alias(addr_of(s1), addr_of(s2)) {
-                            // Earlier level must issue strictly before.
-                            order_pairs.push((s1, s2, false));
-                        }
-                    }
-                }
-            }
-        }
+impl<'a, B: SolverBackend> IncrementalEncoding<'a, B> {
+    /// Creates an empty encoding (horizon 0) of `rules` on an empty
+    /// `solver`; the first [`IncrementalEncoding::probe`] grows it.
+    pub fn new(rules: &'a Rules<'a>, solver: B) -> IncrementalEncoding<'a, B> {
+        let candidates = rules.candidates;
         let mut level_of = HashMap::new();
         for (li, level) in candidates.store_levels.iter().enumerate() {
             for &t in level {
@@ -611,11 +638,8 @@ impl<'a> IncrementalEncoding<'a> {
             }
         }
         IncrementalEncoding {
-            matched,
-            candidates,
-            machine,
-            options: *options,
-            solver: Solver::new(),
+            rules,
+            solver,
             horizon: 0,
             by_candidate: vec![Vec::new(); candidates.list.len()],
             created_upto: vec![None; candidates.list.len()],
@@ -627,15 +651,8 @@ impl<'a> IncrementalEncoding<'a> {
             level_chain: vec![None; candidates.store_levels.len()],
             level_lits: vec![Vec::new(); candidates.store_levels.len()],
             frontier: None,
-            order_pairs,
             level_of,
         }
-    }
-
-    /// The cycle horizon currently encoded (budgets `1..=horizon` are
-    /// probeable without growing).
-    pub fn horizon(&self) -> u32 {
-        self.horizon
     }
 
     /// Installs a shared interrupt flag on the persistent solver. Once
@@ -647,32 +664,17 @@ impl<'a> IncrementalEncoding<'a> {
         self.solver.set_interrupt(flag);
     }
 
-    /// Lifetime work counters of the persistent solver.
-    pub fn solver_stats(&self) -> SolverStats {
-        self.solver.stats()
-    }
-
     /// Grows the encoded horizon from `self.horizon` to `new_h`,
     /// adding variables and clauses to the live solver.
     fn extend(&mut self, new_h: u32) {
         let old_h = self.horizon;
         debug_assert!(new_h > old_h);
-        let eg = &self.matched.egraph;
-        let clusters = self.machine.num_clusters();
-        let cluster_of = |u: Unit| -> usize {
-            if clusters == 1 {
-                0
-            } else {
-                u.cluster()
-            }
-        };
-        let delay = self.machine.cluster_delay();
+        let rules = self.rules;
+        let candidates = rules.candidates;
+        let clusters = rules.clusters;
 
         // New availability and activation variables for the new cycles.
-        for &class in &self.candidates.needed_classes {
-            if self.candidates.is_available(class) {
-                continue;
-            }
+        for class in rules.ladder_classes() {
             for cycle in old_h..new_h {
                 for cluster in 0..clusters {
                     let var = self.solver.new_var();
@@ -688,15 +690,15 @@ impl<'a> IncrementalEncoding<'a> {
         // Goal-deadline guards: goal_ok[i] ⇒ ∨_c B(goal, i, c).
         for cycle in old_h..new_h {
             let ok = self.solver.new_var();
-            for &goal in &self.candidates.goal_classes {
-                if self.candidates.is_available(goal) {
+            for &goal in &candidates.goal_classes {
+                if candidates.is_available(goal) {
                     continue;
                 }
                 let mut clause = vec![Lit::neg(ok)];
                 for cluster in 0..clusters {
                     clause.push(Lit::pos(self.avail[&(goal, cycle, cluster)]));
                 }
-                self.solver.add_clause(clause);
+                self.solver.add_clause(&clause);
             }
             self.goal_ok.push(ok);
         }
@@ -709,43 +711,24 @@ impl<'a> IncrementalEncoding<'a> {
         // are a suffix of each candidate's cycle range — and they all
         // complete at or after `old_h`, which keeps the already-emitted
         // ladder clauses complete.
-        let earliest = earliest_completion(self.candidates, eg, new_h);
-        let guard_class = self.candidates.guard_class.map(|c| eg.find(c));
         let mut new_launches: Vec<(Var, LaunchCoord)> = Vec::new();
-        for (t, cand) in self.candidates.list.iter().enumerate() {
-            if cand.latency > new_h {
+        for (t, window) in rules.launch_windows(new_h).into_iter().enumerate() {
+            let Some(window) = window else {
                 continue;
-            }
-            let mut start = 0u32;
-            for dep in cand.register_deps() {
-                let dep = eg.find(dep);
-                if self.candidates.is_available(dep) {
-                    continue;
-                }
-                match earliest.get(&dep) {
-                    Some(&e) => start = start.max(e),
-                    None => {
-                        start = new_h + 1;
-                        break;
-                    }
-                }
-            }
-            if start > new_h || cand.latency > new_h - start {
-                continue;
-            }
+            };
             let first = match self.created_upto[t] {
                 Some(end) => {
-                    debug_assert!(start <= end + 1, "launch start moved earlier");
+                    debug_assert!(*window.start() <= end + 1, "launch start moved earlier");
                     end + 1
                 }
-                None => start,
+                None => *window.start(),
             };
-            let last = new_h - cand.latency;
+            let last = *window.end();
             if first > last {
                 continue;
             }
             for cycle in first..=last {
-                for &unit in &cand.units {
+                for &unit in &candidates.list[t].units {
                     let var = self.solver.new_var();
                     new_launches.push((
                         var,
@@ -763,54 +746,20 @@ impl<'a> IncrementalEncoding<'a> {
         // Per-launch clauses: activation, completion events, argument
         // readiness, issue-slot and store-level at-most-one chains.
         for &(var, coord) in &new_launches {
-            let cand = &self.candidates.list[coord.candidate];
-            let completion = coord.cycle + cand.latency - 1;
+            let completion = rules.completion(&coord);
             debug_assert!(
                 (old_h..new_h).contains(&completion),
                 "new launch must complete in the new cycle range"
             );
             self.solver
-                .add_clause([Lit::neg(var), Lit::pos(self.active[completion as usize])]);
+                .add_clause(&[Lit::neg(var), Lit::pos(self.active[completion as usize])]);
 
-            if !matches!(cand.kind, CandidateKind::Store { .. }) {
-                let class = eg.find(cand.class);
-                let own = cluster_of(coord.unit);
-                self.events
-                    .entry((class, completion, own))
-                    .or_default()
-                    .push(Lit::pos(var));
-                if clusters > 1 {
-                    let other = 1 - own;
-                    self.events
-                        .entry((class, completion + delay, other))
-                        .or_default()
-                        .push(Lit::pos(var));
-                }
+            for event in rules.events(&coord) {
+                self.events.entry(event).or_default().push(Lit::pos(var));
             }
 
-            let mut deps = cand.register_deps();
-            let unsafe_op = match cand.kind {
-                CandidateKind::Store { .. } => true,
-                CandidateKind::Load { .. } => !self.options.speculate_loads,
-                _ => false,
-            };
-            if unsafe_op {
-                if let Some(g) = guard_class {
-                    deps.push(g);
-                }
-            }
-            for dep in deps {
-                let dep = eg.find(dep);
-                if self.candidates.is_available(dep) {
-                    continue;
-                }
-                if coord.cycle == 0 {
-                    self.solver.add_clause([Lit::neg(var)]);
-                    break;
-                }
-                let bvar = self.avail[&(dep, coord.cycle - 1, cluster_of(coord.unit))];
-                self.solver.add_clause([Lit::neg(var), Lit::pos(bvar)]);
-            }
+            let solver = &mut self.solver;
+            rules.readiness(var, &coord, &self.avail, |c| solver.add_clause(c));
 
             let prev = self.slot_chain.get(&(coord.cycle, coord.unit)).copied();
             let head = self.chain_link(var, prev);
@@ -824,25 +773,25 @@ impl<'a> IncrementalEncoding<'a> {
         }
 
         // Memory-ordering conflicts touching a new launch.
-        for &(a, b, strict) in &self.order_pairs {
-            let forbidden = |ca: u32, cb: u32| if strict { ca > cb } else { ca >= cb };
+        for pair in &rules.order_pairs {
             let new_of = |t: usize| {
                 new_launches
                     .iter()
                     .filter(move |(_, c)| c.candidate == t)
                     .map(|&(v, c)| (v, c.cycle))
             };
-            for (va, ca) in new_of(a) {
-                for (vb, cb) in self.by_candidate[b].iter().copied().chain(new_of(b)) {
-                    if forbidden(ca, cb) {
-                        self.solver.add_clause([Lit::neg(va), Lit::neg(vb)]);
+            for (va, ca) in new_of(pair.first) {
+                let old_b = self.by_candidate[pair.second].iter().copied();
+                for (vb, cb) in old_b.chain(new_of(pair.second)) {
+                    if pair.forbids(ca, cb) {
+                        self.solver.add_clause(&[Lit::neg(va), Lit::neg(vb)]);
                     }
                 }
             }
-            for &(va, ca) in &self.by_candidate[a] {
-                for (vb, cb) in new_of(b) {
-                    if forbidden(ca, cb) {
-                        self.solver.add_clause([Lit::neg(va), Lit::neg(vb)]);
+            for &(va, ca) in &self.by_candidate[pair.first] {
+                for (vb, cb) in new_of(pair.second) {
+                    if pair.forbids(ca, cb) {
+                        self.solver.add_clause(&[Lit::neg(va), Lit::neg(vb)]);
                     }
                 }
             }
@@ -851,34 +800,21 @@ impl<'a> IncrementalEncoding<'a> {
             self.by_candidate[coord.candidate].push((var, coord.cycle));
         }
 
-        // Ladder clauses for the new cycles, consuming buffered events:
-        // B(Q,i,c) ⇔ B(Q,i-1,c) ∨ completions(Q,i,c).
-        for &class in &self.candidates.needed_classes {
-            if self.candidates.is_available(class) {
-                continue;
-            }
+        // Ladder clauses for the new cycles, consuming buffered events.
+        for class in rules.ladder_classes() {
             for cycle in old_h..new_h {
                 for cluster in 0..clusters {
-                    let bvar = self.avail[&(class, cycle, cluster)];
+                    let prev = cycle
+                        .checked_sub(1)
+                        .map(|i| self.avail[&(class, i, cluster)]);
                     let events = self
                         .events
                         .remove(&(class, cycle, cluster))
                         .unwrap_or_default();
-                    let mut forward = vec![Lit::neg(bvar)];
-                    if cycle > 0 {
-                        forward.push(Lit::pos(self.avail[&(class, cycle - 1, cluster)]));
-                    }
-                    forward.extend(events.iter().copied());
-                    self.solver.add_clause(forward);
-                    if cycle > 0 {
-                        self.solver.add_clause([
-                            Lit::neg(self.avail[&(class, cycle - 1, cluster)]),
-                            Lit::pos(bvar),
-                        ]);
-                    }
-                    for &e in &events {
-                        self.solver.add_clause([!e, Lit::pos(bvar)]);
-                    }
+                    let solver = &mut self.solver;
+                    Rules::ladder_rung(self.avail[&(class, cycle, cluster)], prev, &events, |c| {
+                        solver.add_clause(c)
+                    });
                 }
             }
         }
@@ -886,12 +822,12 @@ impl<'a> IncrementalEncoding<'a> {
         // Store at-least-one, re-emitted over the grown launch sets
         // behind a fresh guard; the previous guard is left free, which
         // makes its clauses vacuous.
-        if !self.candidates.store_levels.is_empty() {
+        if !candidates.store_levels.is_empty() {
             let f = self.solver.new_var();
             for lits in &self.level_lits {
                 let mut clause = lits.clone();
                 clause.push(Lit::pos(f));
-                self.solver.add_clause(clause);
+                self.solver.add_clause(&clause);
             }
             self.frontier = Some(f);
         }
@@ -904,46 +840,37 @@ impl<'a> IncrementalEncoding<'a> {
     fn chain_link(&mut self, var: Var, prev: Option<Var>) -> Var {
         let head = self.solver.new_var();
         if let Some(p) = prev {
-            self.solver.add_clause([Lit::neg(var), Lit::neg(p)]);
-            self.solver.add_clause([Lit::neg(p), Lit::pos(head)]);
+            self.solver.add_clause(&[Lit::neg(var), Lit::neg(p)]);
+            self.solver.add_clause(&[Lit::neg(p), Lit::pos(head)]);
         }
-        self.solver.add_clause([Lit::neg(var), Lit::pos(head)]);
+        self.solver.add_clause(&[Lit::neg(var), Lit::pos(head)]);
         head
     }
 
     /// Asks whether a `k`-cycle schedule exists, reusing the live
     /// solver. Growing the horizon (when `k > horizon`) only adds
-    /// variables and clauses; the budget restriction itself is pure
-    /// assumptions, so the answer matches a fresh [`encode`] at `k`.
+    /// variables and clauses and is logged as an `encode.grow` event
+    /// (old/new horizon, variables and clauses added); the budget
+    /// restriction itself is pure assumptions, so the answer matches a
+    /// fresh [`encode`] at `k`.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` (the zero-launch case never probes).
-    pub fn probe(&mut self, k: u32) -> IncrementalProbe {
-        self.probe_traced(k, &Tracer::disabled())
-    }
-
-    /// [`IncrementalEncoding::probe`] with tracing: horizon growth is
-    /// logged as an `encode.grow` event (old/new horizon, variables and
-    /// clauses added to the live solver).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` (the zero-launch case never probes).
-    pub fn probe_traced(&mut self, k: u32, tracer: &Tracer) -> IncrementalProbe {
+    pub fn probe(&mut self, k: u32, tracer: &Tracer) -> IncrementalProbe {
         assert!(k >= 1, "budgets start at one cycle");
         let encode_start = Instant::now();
         if k > self.horizon {
             let old_h = self.horizon;
-            let vars_before = self.solver.num_vars();
-            let clauses_before = self.solver.num_clauses();
+            let before = self.solver.stats();
             self.extend(k);
             tracer.event("encode.grow", || {
+                let after = self.solver.stats();
                 vec![
                     field("from", old_h),
                     field("to", k),
-                    field("new_vars", self.solver.num_vars() - vars_before),
-                    field("new_clauses", self.solver.num_clauses() - clauses_before),
+                    field("new_vars", after.vars - before.vars),
+                    field("new_clauses", after.clauses - before.clauses),
                 ]
             });
         }
@@ -968,14 +895,15 @@ impl<'a> IncrementalEncoding<'a> {
             // it was raised (deadline cancellation).
             SolveResult::Interrupted => (false, true),
         };
+        let after = self.solver.stats();
         IncrementalProbe {
             satisfiable,
             interrupted,
-            vars: self.solver.num_vars(),
-            clauses: self.solver.num_clauses(),
+            vars: after.vars as usize,
+            clauses: after.clauses as usize,
             encode_ms,
             solve_ms,
-            stats: self.solver.stats().since(before),
+            stats: after.since(before),
         }
     }
 }
@@ -1004,7 +932,8 @@ mod tests {
     }
 
     fn solve_at(matched: &Matched, cands: &Candidates, machine: &Machine, k: u32) -> SolveResult {
-        let enc = encode(matched, cands, machine, k, &EncodeOptions::default());
+        let rules = Rules::new(matched, cands, machine, &EncodeOptions::default());
+        let enc = encode(&rules, k);
         let mut solver = enc.cnf.to_solver();
         solver.solve()
     }
@@ -1104,8 +1033,9 @@ mod tests {
     fn encoding_sizes_grow_with_k() {
         let (matched, cands) = pipeline("(procdecl f ((a long)) long (:= (res (+ (* a 4) 1))))");
         let m = Machine::ev6();
-        let e4 = encode(&matched, &cands, &m, 4, &EncodeOptions::default());
-        let e8 = encode(&matched, &cands, &m, 8, &EncodeOptions::default());
+        let rules = Rules::new(&matched, &cands, &m, &EncodeOptions::default());
+        let e4 = encode(&rules, 4);
+        let e8 = encode(&rules, 8);
         assert!(e8.num_vars() > e4.num_vars());
         assert!(e8.num_clauses() > e4.num_clauses());
     }

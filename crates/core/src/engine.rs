@@ -72,10 +72,10 @@ pub fn env_engine() -> EngineChoice {
 }
 
 /// Chain scheduling knobs. None of these are output-affecting in the
-/// fingerprint sense — like `incremental`, they tune *how*
-/// a verified answer is found, and the serve cache only stores
-/// complete deterministic runs — so they are all excluded from the
-/// compilation fingerprint (pinned by the fingerprint tests).
+/// fingerprint sense — they tune *how* a verified answer is found, and
+/// the serve cache only stores complete deterministic runs — so they
+/// are all excluded from the compilation fingerprint (pinned by the
+/// fingerprint tests).
 #[derive(Clone, Copy, Debug)]
 pub struct StokeKnobs {
     /// Chain seed (`DENALI_STOKE_SEED`).

@@ -25,7 +25,9 @@ pub struct Options {
     pub saturation: SaturationLimits,
     /// Encoding behaviors (§7).
     pub encode: EncodeOptions,
-    /// SAT engine.
+    /// SAT engine answering the search's probes. Either engine prints
+    /// the same program: the winner is always decoded by one canonical
+    /// CDCL re-solve.
     pub solver: SolverChoice,
     /// Give up if no schedule exists within this many cycles.
     pub max_cycles: u32,
@@ -38,9 +40,9 @@ pub struct Options {
     /// Latency charged to loads annotated `\derefm` (likely cache
     /// misses).
     pub miss_latency: u32,
-    /// If set, every SAT probe's CNF is written to this directory in
-    /// DIMACS format (`<gma>_k<K>.cnf`), for comparison with external
-    /// solvers.
+    /// If set, the standalone formula of every probed budget is written
+    /// to this directory in DIMACS format (`<gma>_k<K>.cnf`), for
+    /// comparison with external solvers.
     pub dump_dimacs: Option<std::path::PathBuf>,
     /// Automatically software-pipeline loop loads (the Figure 6 hand
     /// transformation, mechanized; the paper's unimplemented design).
@@ -49,12 +51,10 @@ pub struct Options {
     /// Kept so existing callers still build; never part of the
     /// compilation fingerprint.
     pub threads: usize,
-    /// Reuse one persistent CDCL solver across the search's cycle
-    /// budgets via assumption probing (the default). `false` selects
-    /// the reference path, a fresh solver per probe, which DPLL
-    /// searches and DIMACS dumps always use. Probe outcomes, cycle
-    /// counts, certificates, and programs are identical either way —
-    /// only wall-clock and the reported formula/solver counters change.
+    /// An execution hint with no effect: every search answers its
+    /// probes on one live encoding, whichever solver backs it. Kept so
+    /// existing callers still build; never part of the compilation
+    /// fingerprint.
     pub incremental: bool,
     /// An execution hint with no effect: SAT probes are never raced.
     /// Kept so existing callers still build; never part of the
@@ -153,8 +153,8 @@ impl CompiledGma {
     }
 
     /// Learned clauses carried into probes from earlier probes on the
-    /// same solver — nonzero only when incremental probing reused a
-    /// solver (and it learned something worth carrying).
+    /// search's live solver — nonzero only under CDCL, and only once it
+    /// learned something worth carrying.
     pub fn carried_clauses(&self) -> u64 {
         self.probes
             .iter()

@@ -3,10 +3,10 @@
 //! A fingerprint is a stable 128-bit hex digest over everything that
 //! determines a compilation's *output*: the lowered GMAs, the full
 //! axiom set, and the output-affecting subset of [`Options`]. Knobs
-//! that only change wall-clock or observability — `incremental`,
-//! `trace`, `dump_dimacs`, `saturation.delta_match`, and the
-//! cancellation token — are deliberately excluded, as are the no-op
-//! hints `threads` and `portfolio`: the pipeline's determinism contract
+//! that only change wall-clock or observability — `trace`,
+//! `dump_dimacs`, `saturation.delta_match`, and the cancellation token
+//! — are deliberately excluded, as are the no-op hints `threads`,
+//! `incremental` and `portfolio`: the pipeline's determinism contract
 //! guarantees byte-identical results across all of them, so requests
 //! differing only in those knobs may share one cached result.
 //!

@@ -11,38 +11,34 @@
 //! critical path over the goal classes is an open ROADMAP item
 //! ("Search: start the ladder at a proven lower bound").
 //!
-//! # One serial probe path
+//! # One probe path, one decode
 //!
 //! The probes are a sequence of closely related SAT problems — the
-//! encodings differ only in the cycle budget — so CDCL searches probe
-//! *incrementally* by default ([`SearchParams::incremental`]): one
-//! [`IncrementalEncoding`] holds a persistent solver, growing the
-//! encoded horizon during geometric ascent and restricting it back down
-//! per probe with assumption literals, so learned clauses, variable
-//! activity, and saved polarities carry over between budgets. The
-//! winning budget is then decoded by one canonical fresh re-solve of its
-//! standalone encoding.
+//! encodings differ only in the cycle budget — so every probe goes to
+//! one [`IncrementalEncoding`]: it grows the encoded horizon during the
+//! geometric ascent and restricts it back down per probe with assumption
+//! literals. The encoding talks to its solver only through
+//! [`SolverBackend`], which is this search's seam for the paper's solver
+//! substitution (§1.4): [`SolverChoice::Cdcl`] plugs in the CDCL
+//! [`Solver`], whose learned clauses, variable activity and saved
+//! polarities carry over between budgets, and [`SolverChoice::Dpll`] the
+//! [`DpllSolver`] adapter.
 //!
-//! A fresh solver per probe remains where it is needed: under DPLL
-//! (which has no assumption interface), for DIMACS dumps (which want one
-//! standalone CNF per probe), and on the `incremental: false` reference
-//! path the incremental one is checked against. The probe log's
-//! (K, SAT/UNSAT) sequence, the chosen cycle count, the optimality
-//! certificate, and the decoded program are identical on both; only
-//! formula sizes and solver counters differ (they are cumulative for the
-//! live solver).
+//! Whichever backend answered, the winning budget is decoded the same
+//! way: one canonical re-solve of its standalone [`encode`] formula on a
+//! fresh CDCL solver. The solver choice therefore changes the probe
+//! counters and the wall-clock, never the program. DIMACS dumps write
+//! the same standalone formula for each probed budget.
 
 use std::fmt;
-use std::time::Instant;
 
 use denali_arch::{Machine, Program};
 use denali_lang::Gma;
 use denali_par::CancelToken;
-use denali_sat::dimacs::Cnf;
-use denali_sat::{dpll, SolveResult, SolverStats};
+use denali_sat::{DpllSolver, SolveResult, Solver, SolverBackend, SolverStats};
 use denali_trace::{field, Tracer};
 
-use crate::encode::{encode, EncodeOptions, IncrementalEncoding, LaunchCoord};
+use crate::encode::{encode, EncodeOptions, IncrementalEncoding, Rules};
 use crate::extract::extract;
 use crate::machine_terms::Candidates;
 use crate::matcher::Matched;
@@ -63,12 +59,10 @@ pub enum SolverChoice {
 pub struct ProbeStats {
     /// Cycle budget tested.
     pub k: u32,
-    /// SAT variables in the probe's formula. Fresh probes report their
-    /// own encoding's size; incremental probes report the live solver's
-    /// cumulative size.
+    /// SAT variables in the live solver when the probe ran (cumulative
+    /// across the search's budgets).
     pub vars: usize,
-    /// CNF clauses in the probe's formula (cumulative for incremental
-    /// probes, like `vars`).
+    /// Problem clauses in the live solver (cumulative, like `vars`).
     pub clauses: usize,
     /// Whether a schedule exists within `k` cycles.
     pub satisfiable: bool,
@@ -76,8 +70,8 @@ pub struct ProbeStats {
     pub solve_ms: f64,
     /// Wall-clock milliseconds generating the constraints.
     pub encode_ms: f64,
-    /// CDCL search counters for this probe (`None` under DPLL). In
-    /// incremental mode the work counters are per-probe deltas and the
+    /// CDCL search counters for this probe (`None` under DPLL). The
+    /// work counters are per-probe deltas and the
     /// `solves`/`carried_learned`/`carried_activity` gauges show the
     /// solver reuse.
     pub solver: Option<SolverStats>,
@@ -183,16 +177,11 @@ pub struct SearchParams {
     /// An execution hint with no effect: the probe search is serial.
     /// Kept so existing callers still build.
     pub threads: usize,
-    /// Reuse one persistent CDCL solver across budgets via assumption
-    /// probing (the default). `false` selects the fresh-solver-per-probe
-    /// reference path. DPLL searches and DIMACS dumps always probe
-    /// fresh — DPLL has no assumption interface, and dumps want one
-    /// standalone CNF per probe. The probe outcomes, cycle count,
-    /// certificate, and decoded program are identical either way.
+    /// An execution hint with no effect: every search probes one live
+    /// encoding. Kept so existing callers still build.
     pub incremental: bool,
-    /// If set, every probe's CNF is written here in DIMACS format
-    /// (`<label>_k<K>.cnf`). A dump disables incremental probing (see
-    /// [`SearchParams::incremental`]).
+    /// If set, the standalone [`encode`] formula of every probed budget
+    /// is written here in DIMACS format (`<label>_k<K>.cnf`).
     pub dump: Option<DimacsDump>,
     /// An execution hint with no effect. Kept so existing callers still
     /// build.
@@ -215,139 +204,6 @@ impl Default for SearchParams {
             portfolio: 0,
             cancel: None,
         }
-    }
-}
-
-/// A completed probe: its log entry plus the artifacts needed to decode
-/// or dump it.
-struct ProbeRun {
-    stats: ProbeStats,
-    /// The model's true launches when satisfiable. Fresh probes decode
-    /// their own model; incremental probes leave this `None` and the
-    /// winner is decoded by one canonical fresh re-solve.
-    launches: Option<Vec<LaunchCoord>>,
-    /// The probe's standalone formula, kept for DIMACS dumps (fresh
-    /// probes only).
-    cnf: Option<Cnf>,
-}
-
-/// The probe engine for the whole search: the persistent incremental
-/// CDCL solver, or a fresh solver per probe. Probes run strictly in
-/// search order; each is logged, traced and (optionally) dumped as it
-/// completes.
-struct Prober<'a> {
-    matched: &'a Matched,
-    candidates: &'a Candidates,
-    machine: &'a Machine,
-    options: &'a EncodeOptions,
-    solver: SolverChoice,
-    /// The live encoding when probing incrementally. Boxed: it holds
-    /// the whole persistent solver.
-    incremental: Option<Box<IncrementalEncoding<'a>>>,
-    dump: Option<&'a DimacsDump>,
-    /// External cancellation, threaded into every fresh solver so a
-    /// deadline can abandon it mid-probe.
-    cancel: Option<&'a CancelToken>,
-    probes: Vec<ProbeStats>,
-}
-
-impl Prober<'_> {
-    /// Probes budget `k`, then logs, traces and dumps it.
-    fn probe(&mut self, k: u32, tracer: &Tracer) -> Result<ProbeRun, SearchError> {
-        let run = match &mut self.incremental {
-            Some(inc) => {
-                let p = inc.probe_traced(k, tracer);
-                if p.interrupted {
-                    return Err(SearchError::cancelled());
-                }
-                ProbeRun {
-                    stats: ProbeStats {
-                        k,
-                        vars: p.vars,
-                        clauses: p.clauses,
-                        satisfiable: p.satisfiable,
-                        solve_ms: p.solve_ms,
-                        encode_ms: p.encode_ms,
-                        solver: Some(p.stats),
-                    },
-                    launches: None,
-                    cnf: None,
-                }
-            }
-            None => self.probe_fresh(k)?,
-        };
-        // A dump failure is a hard error — a silently missing CNF
-        // defeats the point of dumping.
-        if let Some(dump) = self.dump {
-            std::fs::create_dir_all(&dump.directory).map_err(|e| {
-                SearchError::new(format!(
-                    "cannot create DIMACS dump directory {}: {e}",
-                    dump.directory.display()
-                ))
-            })?;
-            let path = dump
-                .directory
-                .join(format!("{}_k{}.cnf", dump.label, run.stats.k));
-            let cnf = run.cnf.as_ref().expect("fresh probes keep their CNF");
-            std::fs::write(&path, cnf.to_dimacs()).map_err(|e| {
-                SearchError::new(format!("cannot write DIMACS dump {}: {e}", path.display()))
-            })?;
-        }
-        self.probes.push(run.stats);
-        emit_probe_trace(tracer, &run.stats);
-        Ok(run)
-    }
-
-    /// Encodes budget `k` standalone and solves it with a fresh solver.
-    fn probe_fresh(&self, k: u32) -> Result<ProbeRun, SearchError> {
-        let encode_start = Instant::now();
-        let encoding = encode(self.matched, self.candidates, self.machine, k, self.options);
-        let encode_ms = encode_start.elapsed().as_secs_f64() * 1e3;
-        let solve_start = Instant::now();
-        let (satisfiable, model, solver_stats) = match self.solver {
-            SolverChoice::Cdcl => {
-                let mut s = encoding.cnf.to_solver();
-                if let Some(token) = self.cancel {
-                    s.set_interrupt(token.handle());
-                }
-                match s.solve() {
-                    SolveResult::Sat => (
-                        true,
-                        Some(s.model().expect("sat model").to_vec()),
-                        Some(s.stats()),
-                    ),
-                    SolveResult::Unsat => (false, None, Some(s.stats())),
-                    SolveResult::Interrupted => return Err(SearchError::cancelled()),
-                }
-            }
-            SolverChoice::Dpll => {
-                let flag = self.cancel.map(|token| token.handle());
-                match dpll::solve_interruptible(
-                    encoding.cnf.num_vars,
-                    &encoding.cnf.clauses,
-                    flag.as_deref(),
-                ) {
-                    dpll::DpllResult::Sat(m) => (true, Some(m), None),
-                    dpll::DpllResult::Unsat => (false, None, None),
-                    dpll::DpllResult::Interrupted => return Err(SearchError::cancelled()),
-                }
-            }
-        };
-        let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
-        let launches = model.map(|m| encoding.true_launches(&m));
-        Ok(ProbeRun {
-            stats: ProbeStats {
-                k,
-                vars: encoding.num_vars(),
-                clauses: encoding.num_clauses(),
-                satisfiable,
-                solve_ms,
-                encode_ms,
-                solver: solver_stats,
-            },
-            launches,
-            cnf: Some(encoding.cnf),
-        })
     }
 }
 
@@ -464,38 +320,89 @@ pub fn search_traced(
         });
     }
 
-    let incremental = (params.incremental
-        && params.solver == SolverChoice::Cdcl
-        && params.dump.is_none())
-    .then(|| {
-        let mut inc = Box::new(IncrementalEncoding::new(
-            matched, candidates, machine, options,
-        ));
-        if let Some(token) = &params.cancel {
-            inc.set_interrupt(token.handle());
-        }
-        inc
-    });
-    let mut prober = Prober {
-        matched,
-        candidates,
-        machine,
-        options,
-        solver: params.solver,
-        incremental,
-        dump: params.dump.as_ref(),
-        cancel: params.cancel.as_ref(),
-        probes: Vec::new(),
+    let rules = Rules::new(matched, candidates, machine, options);
+    let (best_k, probes) = match params.solver {
+        SolverChoice::Cdcl => probe_ladder(&rules, Solver::new(), params, tracer)?,
+        SolverChoice::Dpll => probe_ladder(&rules, DpllSolver::new(), params, tracer)?,
     };
+
+    // The optimality certificate: K-1 was actually refuted, or K == 1
+    // and launches are required (zero cycles is vacuously infeasible —
+    // the zero-launch case was handled above).
+    let refuted_below = best_k == 1 || probes.iter().any(|p| p.k + 1 == best_k && !p.satisfiable);
+
+    // Decode the winner by one canonical re-solve of its standalone
+    // formula on a fresh CDCL solver, whichever backend probed: the
+    // solver is deterministic, so the program depends only on the
+    // budget.
+    let decode = tracer.span_fields("search.decode", vec![field("cycles", best_k)]);
+    let encoding = encode(&rules, best_k);
+    let mut solver = encoding.cnf.to_solver();
+    let launches = match solver.solve() {
+        SolveResult::Sat => encoding.true_launches(solver.model().expect("sat model")),
+        _ => {
+            return Err(SearchError::new(format!(
+                "internal: budget {best_k} satisfiable under assumptions \
+                 but unsatisfiable standalone"
+            )))
+        }
+    };
+    let program = extract(gma, matched, candidates, machine, best_k, &launches)
+        .map_err(|e| SearchError::new(e.to_string()))?;
+    decode.finish_fields(vec![field("launches", launches.len())]);
+    Ok(SearchOutcome {
+        program,
+        cycles: best_k,
+        refuted_below,
+        probes,
+    })
+}
+
+/// Runs the probe ladder on one live encoding of `rules` over `backend`:
+/// geometric ascent to the first satisfiable budget, then binary search
+/// below it. Every probe is logged, traced and (optionally) dumped as it
+/// completes. Returns the smallest satisfiable budget and the probe log.
+fn probe_ladder<B: SolverBackend>(
+    rules: &Rules,
+    backend: B,
+    params: &SearchParams,
+    tracer: &Tracer,
+) -> Result<(u32, Vec<ProbeStats>), SearchError> {
+    let mut live = IncrementalEncoding::new(rules, backend);
+    if let Some(token) = &params.cancel {
+        live.set_interrupt(token.handle());
+    }
+    let mut probes = Vec::new();
+    let mut probe = |k: u32| -> Result<bool, SearchError> {
+        let p = live.probe(k, tracer);
+        if p.interrupted {
+            return Err(SearchError::cancelled());
+        }
+        let stats = ProbeStats {
+            k,
+            vars: p.vars,
+            clauses: p.clauses,
+            satisfiable: p.satisfiable,
+            solve_ms: p.solve_ms,
+            encode_ms: p.encode_ms,
+            solver: (params.solver == SolverChoice::Cdcl).then_some(p.stats),
+        };
+        if let Some(dump) = &params.dump {
+            write_dump(dump, k, &encode(rules, k).cnf.to_dimacs())?;
+        }
+        probes.push(stats);
+        emit_probe_trace(tracer, &stats);
+        Ok(stats.satisfiable)
+    };
+    let cancelled = || params.cancel.as_ref().is_some_and(|c| c.is_cancelled());
     let max_cycles = params.max_cycles;
 
     // Geometric ascent to the first satisfiable budget.
     let ascent = tracer.span("search.ascent");
     let mut k = 1u32;
     let mut max_unsat = 0u32;
-    let mut best: ProbeRun;
     loop {
-        if params.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+        if cancelled() {
             return Err(SearchError::cancelled());
         }
         if k > max_cycles {
@@ -504,9 +411,7 @@ pub fn search_traced(
             )));
         }
         let next = next_budget(k, max_cycles);
-        let run = prober.probe(k, tracer)?;
-        if run.stats.satisfiable {
-            best = run;
+        if probe(k)? {
             break;
         }
         max_unsat = k;
@@ -517,7 +422,7 @@ pub fn search_traced(
         }
         k = next;
     }
-    let mut best_k = best.stats.k;
+    let mut best_k = k;
     ascent.finish_fields(vec![
         field("first_sat", best_k),
         field("max_unsat", max_unsat),
@@ -529,61 +434,35 @@ pub fn search_traced(
         vec![field("lo", max_unsat), field("hi", best_k)],
     );
     while best_k - max_unsat > 1 {
-        if params.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+        if cancelled() {
             // A winner exists, but returning it would make the probe
             // log deadline-dependent; the caller degrades instead.
             return Err(SearchError::cancelled());
         }
         let mid = max_unsat + (best_k - max_unsat) / 2;
-        let run = prober.probe(mid, tracer)?;
-        if run.stats.satisfiable {
-            best = run;
+        if probe(mid)? {
             best_k = mid;
         } else {
             max_unsat = mid;
         }
     }
     binary.finish_fields(vec![field("cycles", best_k)]);
+    Ok((best_k, probes))
+}
 
-    // The optimality certificate: K-1 was actually refuted, or K == 1
-    // and launches are required (zero cycles is vacuously infeasible —
-    // the zero-launch case was handled above).
-    let refuted_below = best_k == 1
-        || prober
-            .probes
-            .iter()
-            .any(|p| p.k + 1 == best_k && !p.satisfiable);
-
-    // Decode the winner. Fresh probes carry their own model's launches;
-    // the incremental engine instead re-solves the winning budget's
-    // standalone encoding once — both solvers are deterministic, so
-    // this decodes the exact program fresh-solver mode would.
-    let decode = tracer.span_fields("search.decode", vec![field("cycles", best_k)]);
-    let launches = match best.launches.take() {
-        Some(launches) => launches,
-        None => {
-            let encoding = encode(matched, candidates, machine, best_k, options);
-            let mut solver = encoding.cnf.to_solver();
-            match solver.solve() {
-                SolveResult::Sat => encoding.true_launches(solver.model().expect("sat model")),
-                _ => {
-                    return Err(SearchError::new(format!(
-                        "internal: budget {best_k} satisfiable under assumptions \
-                         but unsatisfiable standalone"
-                    )))
-                }
-            }
-        }
-    };
-    let program = extract(gma, matched, candidates, machine, best_k, &launches)
-        .map_err(|e| SearchError::new(e.to_string()))?;
-    decode.finish_fields(vec![field("launches", launches.len())]);
-    Ok(SearchOutcome {
-        program,
-        cycles: best_k,
-        refuted_below,
-        probes: prober.probes,
-    })
+/// Writes one budget's standalone formula as `<label>_k<K>.cnf`. A dump
+/// failure is a hard error — a silently missing CNF defeats the point of
+/// dumping.
+fn write_dump(dump: &DimacsDump, k: u32, dimacs: &str) -> Result<(), SearchError> {
+    std::fs::create_dir_all(&dump.directory).map_err(|e| {
+        SearchError::new(format!(
+            "cannot create DIMACS dump directory {}: {e}",
+            dump.directory.display()
+        ))
+    })?;
+    let path = dump.directory.join(format!("{}_k{}.cnf", dump.label, k));
+    std::fs::write(&path, dimacs)
+        .map_err(|e| SearchError::new(format!("cannot write DIMACS dump {}: {e}", path.display())))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! Failures replay with `DENALI_PROP_SEED=<seed>` (printed on failure).
 
 use denali_axioms::SaturationLimits;
-use denali_core::{Denali, Options};
+use denali_core::{Denali, EngineChoice, Options};
 use denali_prng::{forall, Rng};
 
 /// Valid seeds for mutation — near-misses are far better at finding
@@ -129,6 +129,39 @@ fn garbage_bytes_never_panic() {
         let source = String::from_utf8_lossy(&bytes).into_owned();
         let _ = denali.compile_source(&source);
     });
+}
+
+#[test]
+fn huge_load_latencies_are_a_search_error_not_an_overflow() {
+    // A load from a computed address starts after its address is ready,
+    // so its completion cycle is 1 + latency, which must not overflow at
+    // u32::MAX (a panic in debug builds, a silent wrap in release). The
+    // load can never complete, so the search runs out of budget.
+    let cases = [
+        (
+            "(\\procdecl h ((p long*)) long (:= (\\res (\\deref (+ p 8)))))",
+            Options {
+                load_latency: Some(u32::MAX),
+                ..Options::default()
+            },
+        ),
+        (
+            "(\\procdecl h ((p long*)) long (:= (\\res (\\derefm (+ p 8)))))",
+            Options {
+                miss_latency: u32::MAX,
+                ..Options::default()
+            },
+        ),
+    ];
+    for (source, options) in cases {
+        let err = Denali::new(Options {
+            engine: EngineChoice::Sat,
+            ..options
+        })
+        .compile_source(source)
+        .expect_err("a load that never completes has no schedule");
+        assert_eq!(err.stage, "search", "{source}: {}", err.message);
+    }
 }
 
 #[test]

@@ -1,14 +1,20 @@
-//! Incremental-probing equivalence tests: assumption-based probing on
-//! one persistent solver must report the same probe outcomes, cycle
-//! count, certificate, and byte-identical program as fresh per-probe
-//! solvers — reuse may only change wall-clock and the size/reuse
-//! counters. Also pins the solver-identity invariant (one `Solver` for
-//! the whole search, at any thread count) and the huge-`max_cycles`
-//! ascent regression.
+//! The search's one probe path: every probe of a search is answered by
+//! one live `IncrementalEncoding`, and must have the outcome a fresh
+//! CDCL solver gives on that budget's standalone `encode(k)` formula —
+//! reuse may only change wall-clock and the size/reuse counters. The
+//! solver choice must not change the program: CDCL and DPLL answer the
+//! same probes and share one decode. Also pins the solver-identity
+//! invariant (one `Solver` for the whole search) and the
+//! huge-`max_cycles` ascent regression.
 
 use denali_axioms::SaturationLimits;
-use denali_core::{Denali, Options};
+use denali_core::encode::{encode, Rules};
+use denali_core::machine_terms::enumerate_with_misses;
+use denali_core::matcher::match_gma;
+use denali_core::search::{search, SearchOutcome, SearchParams};
+use denali_core::{Denali, Options, SolverChoice};
 use denali_prng::{forall, Rng};
+use denali_sat::SolveResult;
 use denali_term::Term;
 
 const BYTESWAP4: &str = "
@@ -21,9 +27,11 @@ const BYTESWAP4: &str = "
       (:= ((\\selectb r 3) (\\selectb a 0)))
       (:= (\\res r)))))";
 
-fn options(incremental: bool) -> Options {
+const FIGURE2: &str = "(\\procdecl f ((reg6 long)) long (:= (\\res (+ (* reg6 4) 1))))";
+
+fn options(solver: SolverChoice) -> Options {
     Options {
-        incremental,
+        solver,
         saturation: SaturationLimits {
             max_iterations: 6,
             max_nodes: 3_000,
@@ -35,14 +43,48 @@ fn options(incremental: bool) -> Options {
     }
 }
 
-/// Everything the two probing strategies must agree on: cycles,
-/// certificate, listing, and the (budget, outcome) probe log. Formula
-/// sizes are deliberately excluded — incremental probes report the live
-/// solver's cumulative size.
+/// Runs the search for `source`'s first GMA and checks every probe
+/// against a fresh CDCL solver on the standalone formula of its budget.
+fn search_checked_against_fresh_solvers(source: &str) -> SearchOutcome {
+    let denali = Denali::new(options(SolverChoice::Cdcl));
+    let o = denali.options();
+    let prepared = denali.prepare_source(source).expect("prepares");
+    let gma = &prepared.gmas[0];
+    let matched = match_gma(gma, &prepared.axioms, &o.saturation).expect("matches");
+    let candidates = enumerate_with_misses(
+        &matched,
+        &o.machine,
+        &gma.inputs(),
+        o.load_latency,
+        &gma.miss_addrs,
+        o.miss_latency,
+    )
+    .expect("enumerates");
+    let outcome = search(
+        gma,
+        &matched,
+        &candidates,
+        &o.machine,
+        &o.encode,
+        &SearchParams::default(),
+    )
+    .expect("search succeeds");
+    let rules = Rules::new(&matched, &candidates, &o.machine, &o.encode);
+    for p in &outcome.probes {
+        let mut fresh = encode(&rules, p.k).cnf.to_solver();
+        let satisfiable = fresh.solve() == SolveResult::Sat;
+        assert_eq!(p.satisfiable, satisfiable, "probe K={}", p.k);
+    }
+    outcome
+}
+
+/// Everything the solver choice must not change: cycles, certificate,
+/// listing, and the (budget, outcome) probe log. Formula sizes and
+/// solver counters are deliberately excluded.
 type Footprint = (u32, bool, String, Vec<(u32, bool)>);
 
-fn footprint(source: &str, incremental: bool) -> Footprint {
-    let result = Denali::new(options(incremental))
+fn footprint(source: &str, solver: SolverChoice) -> Footprint {
+    let result = Denali::new(options(solver))
         .compile_source(source)
         .expect("pipeline succeeds");
     let compiled = &result.gmas[0];
@@ -92,9 +134,7 @@ fn incremental_probing_agrees_with_fresh_solvers() {
     forall("incremental_probing_agrees_with_fresh_solvers", 24, |rng| {
         let goal = random_goal(rng, 3);
         let source = format!("(procdecl f ((a long) (b long)) long (:= (res {goal})))");
-        let incremental = footprint(&source, true);
-        let fresh = footprint(&source, false);
-        assert_eq!(incremental, fresh, "goal {goal}");
+        search_checked_against_fresh_solvers(&source);
     });
 }
 
@@ -102,10 +142,26 @@ fn incremental_probing_agrees_with_fresh_solvers() {
 fn incremental_probing_agrees_on_byteswap4() {
     // The deterministic multi-probe workhorse: a full up-then-down
     // ascent (SAT and UNSAT probes in both phases).
-    let incremental = footprint(BYTESWAP4, true);
-    let fresh = footprint(BYTESWAP4, false);
-    assert_eq!(incremental.0, 5, "byteswap4 is a 5-cycle program");
-    assert_eq!(incremental, fresh);
+    let outcome = search_checked_against_fresh_solvers(BYTESWAP4);
+    assert_eq!(outcome.cycles, 5, "byteswap4 is a 5-cycle program");
+    assert!(outcome.probes.iter().any(|p| p.satisfiable));
+    assert!(outcome.probes.iter().any(|p| !p.satisfiable));
+}
+
+#[test]
+fn solver_choice_does_not_change_the_program() {
+    // figure2's s4addq can issue on U0 or L0; both backends must print
+    // the unit the canonical decode picks.
+    let cdcl = footprint(FIGURE2, SolverChoice::Cdcl);
+    assert_eq!(cdcl.0, 1);
+    assert_eq!(cdcl, footprint(FIGURE2, SolverChoice::Dpll));
+    forall("solver_choice_does_not_change_the_program", 24, |rng| {
+        let goal = random_goal(rng, 3);
+        let source = format!("(procdecl f ((a long) (b long)) long (:= (res {goal})))");
+        let cdcl = footprint(&source, SolverChoice::Cdcl);
+        let dpll = footprint(&source, SolverChoice::Dpll);
+        assert_eq!(cdcl, dpll, "goal {goal}");
+    });
 }
 
 #[test]
@@ -113,7 +169,7 @@ fn incremental_probes_share_one_solver() {
     // Every probe after the first must land on the same live solver:
     // the per-solver `solves` gauge counts straight up, and once the
     // solver has learned anything, later probes carry it over.
-    let result = Denali::new(options(true))
+    let result = Denali::new(options(SolverChoice::Cdcl))
         .compile_source(BYTESWAP4)
         .expect("pipeline succeeds");
     let compiled = &result.gmas[0];
@@ -142,15 +198,6 @@ fn incremental_probes_share_one_solver() {
         compiled.carried_clauses() > 0,
         "refuting 4 cycles must learn clauses that later probes reuse"
     );
-
-    // Fresh mode by contrast starts a new solver per probe.
-    let fresh = Denali::new(options(false))
-        .compile_source(BYTESWAP4)
-        .expect("pipeline succeeds");
-    assert_eq!(fresh.gmas[0].carried_clauses(), 0);
-    for probe in &fresh.gmas[0].probes {
-        assert_eq!(probe.solver.expect("CDCL stats").solves, 1);
-    }
 }
 
 #[test]
@@ -160,7 +207,7 @@ fn huge_cycle_ceiling_does_not_overflow_the_ascent() {
     // must behave exactly like the default.
     let result = Denali::new(Options {
         max_cycles: u32::MAX,
-        ..options(true)
+        ..options(SolverChoice::Cdcl)
     })
     .compile_source(BYTESWAP4)
     .expect("pipeline succeeds");

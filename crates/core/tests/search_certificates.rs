@@ -1,8 +1,11 @@
 //! Regression tests for the cycle-budget search's results: the
 //! `refuted_below` certificate semantics, the per-probe CDCL solver
-//! stats, and DIMACS dumps (one CNF per probe, and a hard error when the
-//! dump cannot be written).
+//! stats, and DIMACS dumps (one standalone CNF per probe, and a hard
+//! error when the dump cannot be written).
 
+use denali_core::encode::{encode, Rules};
+use denali_core::machine_terms::enumerate_with_misses;
+use denali_core::matcher::match_gma;
 use denali_core::{Denali, Options};
 
 const BYTESWAP4: &str = "
@@ -114,5 +117,31 @@ fn dump_writes_one_cnf_per_probe() {
         .collect();
     expected.sort();
     assert_eq!(dumped, expected);
+
+    // Each file is the standalone formula of its budget.
+    let o = denali.options();
+    let prepared = denali.prepare_source(BYTESWAP4).unwrap();
+    let gma = &prepared.gmas[0];
+    let matched = match_gma(gma, &prepared.axioms, &o.saturation).unwrap();
+    let candidates = enumerate_with_misses(
+        &matched,
+        &o.machine,
+        &gma.inputs(),
+        o.load_latency,
+        &gma.miss_addrs,
+        o.miss_latency,
+    )
+    .unwrap();
+    let rules = Rules::new(&matched, &candidates, &o.machine, &o.encode);
+    for p in &compiled.probes {
+        let path = dir.join(format!("{}_k{}.cnf", compiled.gma.name, p.k));
+        let bytes = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            bytes,
+            encode(&rules, p.k).cnf.to_dimacs(),
+            "dump for K={}",
+            p.k
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,28 +4,28 @@
 //!
 //! 1. **No perturbation** — the compiled program, cycle count,
 //!    certificate, and probe log are byte-identical with tracing on and
-//!    off, on both probe paths.
+//!    off, under both solver backends.
 //! 2. **Determinism** — with tracing on, the record stream for a given
-//!    input is identical across runs on both probe paths, modulo
+//!    input is identical across runs under both solver backends, modulo
 //!    timestamps (compared via [`denali_trace::normalized`]).
 //!
 //! Every option that reads an environment variable in
 //! `Options::default()` (engine, trace) is pinned explicitly, so these
 //! tests mean the same thing on every CI leg.
 
-use denali_core::{CompileResult, Denali, EngineChoice, Options};
+use denali_core::{CompileResult, Denali, EngineChoice, Options, SolverChoice};
 use denali_trace::{jsonl, normalized, Record};
 
 const FIGURE2: &str = "(\\procdecl f ((reg6 long)) long (:= (\\res (+ (* reg6 4) 1))))";
 /// mulq latency 7 then an add: 8 cycles, so the search runs a full
 /// geometric ascent (1, 2, 4, 8) plus binary refinement — several
-/// probes and incremental horizon growth.
+/// probes and horizon growth of the live encoding.
 const MULTI_PROBE: &str = "(\\procdecl f ((a long)) long (:= (\\res (+ (* a a) 1))))";
 
-fn pinned(incremental: bool, trace: bool) -> Options {
+fn pinned(solver: SolverChoice, trace: bool) -> Options {
     Options {
         engine: EngineChoice::Sat,
-        incremental,
+        solver,
         trace,
         ..Options::default()
     }
@@ -52,11 +52,11 @@ fn fingerprint(result: &CompileResult) -> String {
 
 #[test]
 fn tracing_on_off_is_byte_identical() {
-    for incremental in [true, false] {
-        let off = Denali::new(pinned(incremental, false))
+    for solver in [SolverChoice::Cdcl, SolverChoice::Dpll] {
+        let off = Denali::new(pinned(solver, false))
             .compile_source(MULTI_PROBE)
             .unwrap();
-        let traced = Denali::new(pinned(incremental, true));
+        let traced = Denali::new(pinned(solver, true));
         let on = traced.compile_source(MULTI_PROBE).unwrap();
         assert!(traced.tracer().is_enabled());
         assert!(
@@ -66,30 +66,26 @@ fn tracing_on_off_is_byte_identical() {
         assert_eq!(
             fingerprint(&off),
             fingerprint(&on),
-            "tracing perturbed the result at incremental={incremental}"
+            "tracing perturbed the result under {solver:?}"
         );
     }
 }
 
 #[test]
 fn trace_is_identical_across_runs() {
-    for incremental in [true, false] {
+    for solver in [SolverChoice::Cdcl, SolverChoice::Dpll] {
         let run = || -> Vec<Record> {
-            let denali = Denali::new(pinned(incremental, true));
+            let denali = Denali::new(pinned(solver, true));
             denali.compile_source(MULTI_PROBE).unwrap();
             normalized(&denali.tracer().records())
         };
-        assert_eq!(
-            run(),
-            run(),
-            "same input, different trace (incremental={incremental})"
-        );
+        assert_eq!(run(), run(), "same input, different trace under {solver:?}");
     }
 }
 
 #[test]
 fn figure2_trace_matches_schema_golden() {
-    let denali = Denali::new(pinned(true, true));
+    let denali = Denali::new(pinned(SolverChoice::Cdcl, true));
     denali.compile_source(FIGURE2).unwrap();
     let records = normalized(&denali.tracer().records());
     // The span/event vocabulary documented in docs/TRACING.md.

@@ -8,8 +8,11 @@
 //! assumption solving, interrupts, model/failed-assumption extraction,
 //! work counters), and both engines in this crate implement it — the
 //! CDCL [`Solver`] natively, and the naive DPLL engine through the
-//! [`DpllSolver`] adapter. A conformance suite in
-//! `tests/backend_conformance.rs` runs the same scenarios against both.
+//! [`DpllSolver`] adapter. The code generator's live encoding
+//! (`denali_core::encode::IncrementalEncoding`) is generic over this
+//! trait, so every probe of a search, under either engine, goes through
+//! it. A conformance suite in `tests/backend_conformance.rs` runs the
+//! same scenarios against both.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -18,7 +21,8 @@ use crate::dpll::{self, DpllResult};
 use crate::lit::{Lit, Var};
 use crate::solver::{SolveResult, Solver, SolverStats};
 
-/// The solving interface the probe layer is written against.
+/// The solving interface the search's probes are written against: the
+/// seam where one SAT engine substitutes for another.
 ///
 /// Contract notes, pinned by the conformance suite:
 /// - [`SolverBackend::solve_under`] with an empty slice is

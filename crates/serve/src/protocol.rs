@@ -92,7 +92,9 @@ pub struct OptionOverrides {
     /// affecting: part of the compilation fingerprint, so requests
     /// with different engines never share a cache entry.
     pub engine: Option<EngineChoice>,
-    /// Cycle-budget ceiling.
+    /// Cycle-budget ceiling. A request may lower the base ceiling but
+    /// not raise it: the search's formula grows with the budgets it
+    /// reaches, so the server's own ceiling bounds every request.
     pub max_cycles: Option<u32>,
     /// Load-latency override.
     pub load_latency: Option<u32>,
@@ -107,11 +109,12 @@ pub struct OptionOverrides {
 }
 
 impl OptionOverrides {
-    /// Applies the overrides to `options`.
+    /// Applies the overrides to `options`, the server's base options.
     ///
     /// # Errors
     ///
-    /// Fails on an unknown machine name.
+    /// Fails on an unknown machine name, or on a `max_cycles` above the
+    /// base ceiling.
     pub fn apply(&self, options: &mut denali_core::Options) -> Result<(), ProtocolError> {
         if let Some(name) = &self.machine {
             options.machine = machine_by_name(name)?;
@@ -123,6 +126,12 @@ impl OptionOverrides {
             options.engine = engine;
         }
         if let Some(k) = self.max_cycles {
+            if k > options.max_cycles {
+                return Err(ProtocolError::new(format!(
+                    "max_cycles {k} exceeds the server's ceiling of {}",
+                    options.max_cycles
+                )));
+            }
             options.max_cycles = k;
         }
         if let Some(l) = self.load_latency {

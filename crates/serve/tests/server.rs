@@ -122,6 +122,43 @@ fn malformed_input_errors_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn a_request_may_lower_the_cycle_ceiling_but_not_raise_it() {
+    // The search's formula grows with every budget the ladder reaches,
+    // so the server's own ceiling (48 by default) bounds every request.
+    let server = Server::new(ServerConfig::default()).unwrap();
+    let resp = server
+        .handle_line(&compile_line(
+            "over",
+            SOURCE,
+            r#","options":{"max_cycles":49}"#,
+        ))
+        .unwrap();
+    let v = json::parse(&resp).unwrap();
+    assert_eq!(
+        v.get("status").and_then(Json::as_str),
+        Some("error"),
+        "{resp}"
+    );
+    let error = v.get("error").unwrap();
+    assert_eq!(error.get("stage").and_then(Json::as_str), Some("protocol"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("max_cycles"), "message: {message}");
+
+    // Still serving, and the ceiling itself compiles.
+    for k in [48, 8] {
+        let ok = server
+            .handle_line(&compile_line(
+                "at",
+                SOURCE,
+                &format!(r#","options":{{"max_cycles":{k}}}"#),
+            ))
+            .unwrap();
+        let v = json::parse(&ok).unwrap();
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{ok}");
+    }
+}
+
+#[test]
 fn expired_deadline_degrades_to_a_valid_baseline_program() {
     let server = test_server();
     // deadline_ms 0 expires before the search can start.
