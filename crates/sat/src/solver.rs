@@ -92,12 +92,22 @@ impl Assign {
     }
 }
 
-#[derive(Clone, Debug)]
+/// A clause's header: its literals are `lits[start..start + len]` of
+/// the solver's one literal arena. Deleted clauses keep their arena
+/// slot (there is no compaction), so a [`ClauseRef`] never moves.
+#[derive(Clone, Copy, Debug)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learned: bool,
     deleted: bool,
     lbd: u32,
+}
+
+impl Clause {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
 }
 
 type ClauseRef = u32;
@@ -117,6 +127,10 @@ struct Watcher {
 #[derive(Clone, Debug)]
 pub struct Solver {
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back, in [`ClauseRef`] order.
+    lits: Vec<Lit>,
+    /// Reused by [`Solver::add_clause`] to sort and simplify a clause.
+    clause_buf: Vec<Lit>,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<Assign>,
     polarity: Vec<bool>,
@@ -155,6 +169,8 @@ impl Solver {
     pub fn new() -> Solver {
         Solver {
             clauses: Vec::new(),
+            lits: Vec::new(),
+            clause_buf: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             polarity: Vec::new(),
@@ -252,47 +268,56 @@ impl Solver {
         if !self.ok {
             return;
         }
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        for &l in &lits {
+        let mut buf = std::mem::take(&mut self.clause_buf);
+        buf.clear();
+        buf.extend(lits);
+        self.add_buffered(&mut buf);
+        self.clause_buf = buf;
+    }
+
+    /// [`Solver::add_clause`] on a scratch buffer it may reorder.
+    fn add_buffered(&mut self, lits: &mut Vec<Lit>) {
+        for &l in lits.iter() {
             assert!(
                 l.var().index() < self.num_vars(),
                 "unknown variable in clause"
             );
         }
-        lits.sort();
+        lits.sort_unstable();
         lits.dedup();
-        // Tautology / level-zero simplification.
-        let mut simplified = Vec::with_capacity(lits.len());
-        for &l in &lits {
-            if lits.binary_search(&!l).is_ok() && l.is_pos() {
-                return; // contains l and !l: tautology
-            }
-            match self.value(l) {
-                Assign::True => return, // already satisfied at level 0
-                Assign::False => {}     // drop falsified literal
-                Assign::Undef => simplified.push(l),
-            }
+        // Tautology / level-zero simplification: a clause holding both
+        // l and !l, or a literal already true at level 0, is dropped;
+        // literals already false at level 0 are removed.
+        let satisfied = lits.iter().any(|&l| {
+            self.value(l) == Assign::True || (l.is_pos() && lits.binary_search(&!l).is_ok())
+        });
+        if satisfied {
+            return;
         }
+        lits.retain(|&l| self.value(l) == Assign::Undef);
         self.stats.clauses += 1;
-        match simplified.len() {
+        match lits.len() {
             0 => {
                 self.ok = false;
             }
             1 => {
-                self.enqueue(simplified[0], NO_REASON);
+                self.enqueue(lits[0], NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
             }
             _ => {
-                self.attach_clause(simplified, false, 0);
+                self.attach_clause(lits, false, 0);
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool, lbd: u32) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit], learned: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = u32::try_from(self.clauses.len()).expect("clause arena overflow");
+        let start = u32::try_from(self.lits.len()).expect("literal arena overflow");
+        let len = u32::try_from(lits.len()).expect("clause length overflow");
+        start.checked_add(len).expect("literal arena overflow");
         self.watches[lits[0].index()].push(Watcher {
             clause: cref,
             blocker: lits[1],
@@ -301,8 +326,10 @@ impl Solver {
             clause: cref,
             blocker: lits[0],
         });
+        self.lits.extend_from_slice(lits);
         self.clauses.push(Clause {
-            lits,
+            start,
+            len,
             learned,
             deleted: false,
             lbd,
@@ -337,13 +364,15 @@ impl Solver {
                     kept += 1;
                     continue;
                 }
-                let clause = &mut self.clauses[w.clause as usize];
+                let clause = self.clauses[w.clause as usize];
                 debug_assert!(!clause.deleted);
-                if clause.lits[0] == false_lit {
-                    clause.lits.swap(0, 1);
+                let lits = clause.range();
+                let (c0, c1) = (lits.start, lits.start + 1);
+                if self.lits[c0] == false_lit {
+                    self.lits.swap(c0, c1);
                 }
-                debug_assert_eq!(clause.lits[1], false_lit);
-                let first = clause.lits[0];
+                debug_assert_eq!(self.lits[c1], false_lit);
+                let first = self.lits[c0];
                 if first != w.blocker && self.value(first) == Assign::True {
                     watchers[kept] = Watcher {
                         clause: w.clause,
@@ -353,16 +382,10 @@ impl Solver {
                     continue;
                 }
                 // Look for a non-false literal to watch instead.
-                let clause = &mut self.clauses[w.clause as usize];
-                for k in 2..clause.lits.len() {
-                    let candidate = clause.lits[k];
-                    let value = match self.assigns[candidate.var().index()] {
-                        Assign::Undef => Assign::Undef,
-                        Assign::True => Assign::of(candidate.is_pos()),
-                        Assign::False => Assign::of(!candidate.is_pos()),
-                    };
-                    if value != Assign::False {
-                        clause.lits.swap(1, k);
+                for k in c1 + 1..lits.end {
+                    let candidate = self.lits[k];
+                    if self.value(candidate) != Assign::False {
+                        self.lits.swap(c1, k);
                         self.watches[candidate.index()].push(Watcher {
                             clause: w.clause,
                             blocker: first,
@@ -422,10 +445,12 @@ impl Solver {
         let mut index = self.trail.len();
 
         loop {
-            let clause = &self.clauses[confl as usize];
-            let start = usize::from(p.is_some());
-            let clause_lits: Vec<Lit> = clause.lits[start..].to_vec();
-            for q in clause_lits {
+            // The reason clause is read in place: bumping activity
+            // never touches the literal arena.
+            let lits = self.clauses[confl as usize].range();
+            let skip = usize::from(p.is_some());
+            for i in lits.start + skip..lits.end {
+                let q = self.lits[i];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -495,7 +520,8 @@ impl Solver {
         if reason == NO_REASON {
             return false;
         }
-        self.clauses[reason as usize].lits.iter().all(|&q| {
+        let lits = self.clauses[reason as usize].range();
+        self.lits[lits].iter().all(|&q| {
             q.var() == lit.var() || self.seen[q.var().index()] || self.level[q.var().index()] == 0
         })
     }
@@ -579,14 +605,15 @@ impl Solver {
         }
         for (i, c) in self.clauses.iter().enumerate() {
             if !c.deleted {
-                debug_assert!(c.lits.len() >= 2);
-                self.watches[c.lits[0].index()].push(Watcher {
+                debug_assert!(c.len >= 2);
+                let (l0, l1) = (self.lits[c.start as usize], self.lits[c.start as usize + 1]);
+                self.watches[l0.index()].push(Watcher {
                     clause: i as ClauseRef,
-                    blocker: c.lits[1],
+                    blocker: l1,
                 });
-                self.watches[c.lits[1].index()].push(Watcher {
+                self.watches[l1.index()].push(Watcher {
                     clause: i as ClauseRef,
-                    blocker: c.lits[0],
+                    blocker: l0,
                 });
             }
         }
@@ -681,7 +708,7 @@ impl Solver {
                         self.enqueue(asserting, NO_REASON);
                     } else {
                         let lbd = self.lbd(&learnt);
-                        let cref = self.attach_clause(learnt, true, lbd);
+                        let cref = self.attach_clause(&learnt, true, lbd);
                         self.stats.learned += 1;
                         self.enqueue(asserting, cref);
                     }
@@ -776,7 +803,7 @@ impl Solver {
                 debug_assert!(self.level[v.index()] > 0);
                 self.failed_assumptions.push(lit);
             } else {
-                for &q in &self.clauses[reason as usize].lits[1..] {
+                for &q in &self.lits[self.clauses[reason as usize].range()][1..] {
                     if self.level[q.var().index()] > 0 {
                         self.seen[q.var().index()] = true;
                     }
@@ -1189,8 +1216,8 @@ mod tests {
         let (mut s, _) = pigeonhole(4);
         let mut d = Solver::default();
         d.reserve_vars(s.num_vars());
-        for c in &s.clauses {
-            d.add_clause(c.lits.iter().copied());
+        for &c in &s.clauses {
+            d.add_clause(s.lits[c.range()].iter().copied());
         }
         assert_eq!(d.solve(), s.solve());
         assert_eq!(d.stats(), s.stats(), "default and new solve identically");
@@ -1214,6 +1241,40 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(stats1, stats2, "reductions must behave identically");
         assert!(stats1.conflicts > 8, "instance must actually reduce");
+    }
+
+    /// The work counters that fix a solve's path.
+    fn steps(s: &Solver) -> [u64; 5] {
+        let st = s.stats();
+        [
+            st.decisions,
+            st.propagations,
+            st.conflicts,
+            st.restarts,
+            st.learned,
+        ]
+    }
+
+    #[test]
+    fn pinned_instances_take_the_same_steps() {
+        // Exact counters (decisions, propagations, conflicts, restarts,
+        // learned) of two fixed solves, recorded when every clause still
+        // owned its own literal vector. The clause storage must not
+        // change a single step: watch order, literal order and clause
+        // references decide which literal propagates next. PHP(6) runs
+        // several restarts; PHP(7) with a reduction threshold of 50 runs
+        // `reduce_learned` more than once.
+        let (mut s, _) = pigeonhole(6);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(steps(&s), [741, 7921, 631, 5, 627]);
+        let (mut s, _) = pigeonhole(7);
+        s.reduce_threshold = 50;
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(steps(&s), [6059, 68393, 4943, 26, 1838]);
+        assert!(
+            s.reduce_threshold > 1050,
+            "reduce_learned ran at least twice"
+        );
     }
 
     #[test]
