@@ -568,10 +568,7 @@ impl Denali {
                     message: e.message,
                 })
             }
-            Err(e)
-                if self.options.engine == EngineChoice::Auto
-                    && e.message.starts_with("no schedule within") =>
-            {
+            Err(e) if self.options.engine == EngineChoice::Auto && e.exhausted => {
                 // The SAT probe ladder exhausted its cycle budget:
                 // fall back to a full stochastic run. Anytime
                 // semantics — the verified result is returned even

@@ -2,27 +2,39 @@
 //!
 //! §1.3: "Continuing with binary search, we eventually find, for some K,
 //! a K-cycle program that computes P, together with a proof that K−1
-//! cycles are insufficient: that is, an optimal program". We probe
-//! upward from K = 1, doubling the budget until the first satisfiable
-//! one, then binary-search the gap, recording the size and outcome of
-//! every SAT problem (the paper reports these sizes for byteswap4 in
-//! §8). checksum's last GMA, for example, probes 1, 2, 4, 8, 16, 12, 14
-//! and 13. No lower bound is used yet: starting the ladder at the
-//! critical path over the goal classes is an open ROADMAP item
-//! ("Search: start the ladder at a proven lower bound").
+//! cycles are insufficient: that is, an optimal program". The search
+//! records the size and outcome of every SAT problem (the paper reports
+//! these sizes for byteswap4 in §8).
+//!
+//! # The ladder
+//!
+//! [`Rules::lower_bound`] proves that no schedule beats the critical
+//! path of any goal or the cheapest store of any store level, so the
+//! ladder starts there, at `lb`, and climbs by doubling steps: `lb`,
+//! `lb + 1`, `lb + 3`, `lb + 7`, … clamped at
+//! [`SearchParams::max_cycles`], up to the first satisfiable budget. A
+//! binary search then closes the gap to the largest refuted budget.
+//! When `lb` itself is satisfiable and above 1, the search still probes
+//! `lb − 1`, so the optimality certificate is a SAT refutation and not
+//! the bound's word; a satisfiable answer there is an internal error. A
+//! bound above the ceiling exhausts the budget without a probe.
+//! checksum's last GMA, for example, has bound 12 and probes 12 and 13;
+//! with `lb = 1` the ladder is the plain doubling 1, 2, 4, 8, ….
 //!
 //! # One probe path, one decode
 //!
 //! The probes are a sequence of closely related SAT problems — the
 //! encodings differ only in the cycle budget — so every probe goes to
-//! one [`IncrementalEncoding`]: it grows the encoded horizon during the
-//! geometric ascent and restricts it back down per probe with assumption
-//! literals. The encoding talks to its solver only through
-//! [`SolverBackend`], which is this search's seam for the paper's solver
-//! substitution (§1.4): [`SolverChoice::Cdcl`] plugs in the CDCL
-//! [`Solver`], whose learned clauses, variable activity and saved
-//! polarities carry over between budgets, and [`SolverChoice::Dpll`] the
-//! [`DpllSolver`] adapter.
+//! one [`IncrementalEncoding`]: it grows the encoded horizon one cycle
+//! at a time during the ascent and restricts it back down per probe with
+//! assumption literals. Growing cycle by cycle keeps the live formula at
+//! a given horizon independent of the budgets probed before, which a
+//! backend that branches in variable order (DPLL) depends on. The
+//! encoding talks to its solver only through [`SolverBackend`], which is
+//! this search's seam for the paper's solver substitution (§1.4):
+//! [`SolverChoice::Cdcl`] plugs in the CDCL [`Solver`], whose learned
+//! clauses, variable activity and saved polarities carry over between
+//! budgets, and [`SolverChoice::Dpll`] the [`DpllSolver`] adapter.
 //!
 //! Whichever backend answered, the winning budget is decoded the same
 //! way: one canonical re-solve of its standalone [`encode`] formula on a
@@ -132,6 +144,10 @@ pub struct SearchError {
     /// True if the search stopped because [`SearchParams::cancel`] was
     /// raised (a deadline or shutdown), not because it failed.
     pub cancelled: bool,
+    /// True if no schedule exists within [`SearchParams::max_cycles`]:
+    /// the ladder refuted the ceiling, or the lower bound already lies
+    /// above it and nothing was probed.
+    pub exhausted: bool,
 }
 
 impl SearchError {
@@ -139,6 +155,7 @@ impl SearchError {
         SearchError {
             message,
             cancelled: false,
+            exhausted: false,
         }
     }
 
@@ -146,6 +163,15 @@ impl SearchError {
         SearchError {
             message: "search cancelled".to_owned(),
             cancelled: true,
+            exhausted: false,
+        }
+    }
+
+    fn exhausted(max_cycles: u32) -> SearchError {
+        SearchError {
+            message: format!("no schedule within {max_cycles} cycles"),
+            cancelled: false,
+            exhausted: true,
         }
     }
 }
@@ -255,11 +281,11 @@ fn emit_probe_trace(tracer: &Tracer, stats: &ProbeStats) {
     });
 }
 
-/// The next budget of the geometric ascent: doubles, saturating at the
-/// cycle ceiling (`max_cycles` may be near `u32::MAX`; plain `k * 2`
+/// The ascent's next budget after `k`, `step` cycles up, clamped at the
+/// cycle ceiling (`max_cycles` may be near `u32::MAX`; a plain add
 /// overflows in debug builds).
-fn next_budget(k: u32, max_cycles: u32) -> u32 {
-    k.saturating_mul(2).min(max_cycles.max(1))
+fn next_budget(k: u32, step: u32, max_cycles: u32) -> u32 {
+    k.saturating_add(step).min(max_cycles.max(1))
 }
 
 /// Finds the smallest cycle budget with a legal schedule and decodes it.
@@ -359,9 +385,10 @@ pub fn search_traced(
 }
 
 /// Runs the probe ladder on one live encoding of `rules` over `backend`:
-/// geometric ascent to the first satisfiable budget, then binary search
-/// below it. Every probe is logged, traced and (optionally) dumped as it
-/// completes. Returns the smallest satisfiable budget and the probe log.
+/// an ascent from the lower bound to the first satisfiable budget, then
+/// binary search below it. Every probe is logged, traced and
+/// (optionally) dumped as it completes. Returns the smallest satisfiable
+/// budget and the probe log.
 fn probe_ladder<B: SolverBackend>(
     rules: &Rules,
     backend: B,
@@ -397,32 +424,46 @@ fn probe_ladder<B: SolverBackend>(
     let cancelled = || params.cancel.as_ref().is_some_and(|c| c.is_cancelled());
     let max_cycles = params.max_cycles;
 
-    // Geometric ascent to the first satisfiable budget.
-    let ascent = tracer.span("search.ascent");
-    let mut k = 1u32;
+    // Ascent from the lower bound to the first satisfiable budget, in
+    // steps of 1, 2, 4, ...
+    let lower_bound = rules.lower_bound();
+    let ascent = tracer.span_fields("search.ascent", vec![field("lower_bound", lower_bound)]);
+    let mut k = lower_bound;
+    let mut step = 1u32;
     let mut max_unsat = 0u32;
     loop {
         if cancelled() {
             return Err(SearchError::cancelled());
         }
         if k > max_cycles {
-            return Err(SearchError::new(format!(
-                "no schedule within {max_cycles} cycles"
-            )));
+            return Err(SearchError::exhausted(max_cycles));
         }
-        let next = next_budget(k, max_cycles);
+        let next = next_budget(k, step, max_cycles);
         if probe(k)? {
             break;
         }
         max_unsat = k;
         if next == k {
-            return Err(SearchError::new(format!(
-                "no schedule within {max_cycles} cycles"
-            )));
+            return Err(SearchError::exhausted(max_cycles));
         }
         k = next;
+        step = step.saturating_mul(2);
     }
     let mut best_k = k;
+    // The bound already proves `lb - 1` infeasible; refute it with a
+    // probe anyway, so the certificate is a SAT refutation.
+    if best_k == lower_bound && lower_bound > 1 {
+        if cancelled() {
+            return Err(SearchError::cancelled());
+        }
+        if probe(lower_bound - 1)? {
+            return Err(SearchError::new(format!(
+                "internal: budget {} is satisfiable below the lower bound {lower_bound}",
+                lower_bound - 1
+            )));
+        }
+        max_unsat = lower_bound - 1;
+    }
     ascent.finish_fields(vec![
         field("first_sat", best_k),
         field("max_unsat", max_unsat),
@@ -470,20 +511,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn next_budget_doubles_then_clamps() {
-        assert_eq!(next_budget(1, 48), 2);
-        assert_eq!(next_budget(2, 48), 4);
-        assert_eq!(next_budget(32, 48), 48);
-        assert_eq!(next_budget(48, 48), 48);
+    fn next_budget_steps_then_clamps() {
+        assert_eq!(next_budget(1, 1, 48), 2);
+        assert_eq!(next_budget(2, 2, 48), 4);
+        assert_eq!(next_budget(12, 1, 48), 13);
+        assert_eq!(next_budget(13, 2, 48), 15);
+        assert_eq!(next_budget(32, 32, 48), 48);
+        assert_eq!(next_budget(48, 64, 48), 48);
     }
 
     #[test]
     fn next_budget_survives_huge_ceilings() {
-        // Regression: `k * 2` overflowed in debug builds once the
-        // ascent passed 2^31 on a near-u32::MAX ceiling.
-        assert_eq!(next_budget(1 << 31, u32::MAX), u32::MAX);
-        assert_eq!(next_budget(u32::MAX, u32::MAX), u32::MAX);
-        assert_eq!(next_budget(3 << 30, u32::MAX - 1), u32::MAX - 1);
-        assert_eq!(next_budget(1, 0), 1);
+        // Regression: near a u32::MAX ceiling the ascent must clamp,
+        // not overflow (debug builds panic on overflow).
+        assert_eq!(next_budget(1 << 31, 1 << 31, u32::MAX), u32::MAX);
+        assert_eq!(next_budget(u32::MAX, u32::MAX, u32::MAX), u32::MAX);
+        assert_eq!(next_budget(3 << 30, 1 << 31, u32::MAX - 1), u32::MAX - 1);
+        assert_eq!(next_budget(1, 1, 0), 1);
     }
 }

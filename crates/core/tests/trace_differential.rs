@@ -17,9 +17,9 @@ use denali_core::{CompileResult, Denali, EngineChoice, Options, SolverChoice};
 use denali_trace::{jsonl, normalized, Record};
 
 const FIGURE2: &str = "(\\procdecl f ((reg6 long)) long (:= (\\res (+ (* reg6 4) 1))))";
-/// mulq latency 7 then an add: 8 cycles, so the search runs a full
-/// geometric ascent (1, 2, 4, 8) plus binary refinement — several
-/// probes and horizon growth of the live encoding.
+/// mulq latency 7 then an add: 8 cycles, which is also the lower bound,
+/// so the search grows the live encoding eight cycles, probes 8 and
+/// then refutes 7 for the certificate.
 const MULTI_PROBE: &str = "(\\procdecl f ((a long)) long (:= (\\res (+ (* a a) 1))))";
 
 fn pinned(solver: SolverChoice, trace: bool) -> Options {
