@@ -1,13 +1,11 @@
 #![warn(missing_docs)]
 
-//! Shared fixtures and helpers for the Denali benchmark harness.
+//! Shared fixtures and helpers for the Denali experiment binaries.
 //!
 //! Each experiment from the paper's evaluation (see `EXPERIMENTS.md`)
 //! has its program source here, plus helpers to run the pipeline,
 //! validate results against the reference semantics, and produce the
 //! paper-versus-measured rows the `report` binary prints.
-
-pub mod harness;
 
 pub mod programs {
     //! The test programs of the paper's §8 (adapted to this
@@ -254,7 +252,7 @@ pub fn check_compiled(
     }
 }
 
-/// Default pipeline used by benches and the report binary.
+/// Default pipeline used by the experiment binaries.
 pub fn default_denali() -> Denali {
     Denali::new(Options::default())
 }
