@@ -213,6 +213,24 @@ impl Machine {
         m
     }
 
+    /// The machine called `name`: `ev6`, `ia64like`, `ev6-unclustered`
+    /// or `single-issue` (the names [`Machine::name`] reports).
+    ///
+    /// # Errors
+    ///
+    /// Fails on unknown names, listing the known ones.
+    pub fn by_name(name: &str) -> Result<Machine, String> {
+        match name {
+            "ev6" => Ok(Machine::ev6()),
+            "ia64like" => Ok(Machine::ia64like()),
+            "ev6-unclustered" => Ok(Machine::ev6_unclustered()),
+            "single-issue" => Ok(Machine::single_issue()),
+            other => Err(format!(
+                "unknown machine {other:?} (known: ev6, ia64like, ev6-unclustered, single-issue)"
+            )),
+        }
+    }
+
     /// Machine name for reports.
     pub fn name(&self) -> &str {
         &self.name
@@ -282,6 +300,20 @@ mod tests {
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
+    }
+
+    #[test]
+    fn by_name_resolves_every_reported_name() {
+        for m in [
+            Machine::ev6(),
+            Machine::ia64like(),
+            Machine::ev6_unclustered(),
+            Machine::single_issue(),
+        ] {
+            assert_eq!(Machine::by_name(m.name()).unwrap().name(), m.name());
+        }
+        let err = Machine::by_name("EV6").unwrap_err();
+        assert!(err.contains("known: ev6, ia64like"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use denali_axioms::{Axiom, AxiomBody, AxiomPriority};
 use denali_lang::Gma;
 
 use crate::facade::Options;
-use crate::search::SolverChoice;
 
 /// Two-lane FNV-1a-64 accumulator (128 bits total). The lanes use the
 /// standard FNV prime with distinct offset bases, so they disperse the
@@ -76,11 +75,7 @@ pub fn fingerprint(gmas: &[Gma], axioms: &[Axiom], options: &Options) -> String 
     // constructors are the only way to build one, so the name pins the
     // full description.
     fp.field("machine", options.machine.name());
-    let solver = match options.solver {
-        SolverChoice::Cdcl => "cdcl",
-        SolverChoice::Dpll => "dpll",
-    };
-    fp.field("solver", solver);
+    fp.field("solver", options.solver.as_str());
     // The engine determines *which* optimizer answers, so two requests
     // differing only in `engine` must never share a cached result. The
     // stochastic knobs (`stoke.seed`, `stoke.iterations`) are excluded

@@ -117,7 +117,7 @@ impl OptionOverrides {
     /// base ceiling.
     pub fn apply(&self, options: &mut denali_core::Options) -> Result<(), ProtocolError> {
         if let Some(name) = &self.machine {
-            options.machine = machine_by_name(name)?;
+            options.machine = denali_arch::Machine::by_name(name).map_err(ProtocolError::new)?;
         }
         if let Some(solver) = self.solver {
             options.solver = solver;
@@ -147,23 +147,6 @@ impl OptionOverrides {
             options.trace = t;
         }
         Ok(())
-    }
-}
-
-/// Resolves a machine name to its description.
-///
-/// # Errors
-///
-/// Fails on unknown names, listing the known ones.
-pub fn machine_by_name(name: &str) -> Result<denali_arch::Machine, ProtocolError> {
-    match name {
-        "ev6" => Ok(denali_arch::Machine::ev6()),
-        "ia64like" => Ok(denali_arch::Machine::ia64like()),
-        "ev6-unclustered" => Ok(denali_arch::Machine::ev6_unclustered()),
-        "single-issue" => Ok(denali_arch::Machine::single_issue()),
-        other => Err(ProtocolError::new(format!(
-            "unknown machine {other:?} (known: ev6, ia64like, ev6-unclustered, single-issue)"
-        ))),
     }
 }
 
@@ -283,13 +266,9 @@ fn parse_overrides(obj: &Json) -> Result<OptionOverrides, ProtocolError> {
     )?;
     let solver = match get_str(obj, "solver")?.as_deref() {
         None => None,
-        Some("cdcl") => Some(SolverChoice::Cdcl),
-        Some("dpll") => Some(SolverChoice::Dpll),
-        Some(other) => {
-            return Err(ProtocolError::new(format!(
-                "unknown solver {other:?} (known: cdcl, dpll)"
-            )))
-        }
+        Some(name) => Some(SolverChoice::parse(name).ok_or_else(|| {
+            ProtocolError::new(format!("unknown solver {name:?} (known: cdcl, dpll)"))
+        })?),
     };
     let engine = match get_str(obj, "engine")?.as_deref() {
         None => None,
@@ -302,7 +281,7 @@ fn parse_overrides(obj: &Json) -> Result<OptionOverrides, ProtocolError> {
     // Validate the machine name at parse time so a typo is rejected
     // before the request is queued.
     if let Some(name) = get_str(obj, "machine")? {
-        machine_by_name(&name)?;
+        denali_arch::Machine::by_name(&name).map_err(ProtocolError::new)?;
     }
     Ok(OptionOverrides {
         machine: get_str(obj, "machine")?,

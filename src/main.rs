@@ -83,6 +83,33 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The `--machine` value, or the usage text after naming the known
+/// machines.
+fn machine_arg(name: &str) -> Machine {
+    Machine::by_name(name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    })
+}
+
+/// The `--solver` value, or the usage text after naming the known
+/// solvers.
+fn solver_arg(name: &str) -> SolverChoice {
+    SolverChoice::parse(name).unwrap_or_else(|| {
+        eprintln!("unknown solver {name:?} (known: cdcl, dpll)");
+        usage();
+    })
+}
+
+/// The `--engine` value, or the usage text after naming the known
+/// engines.
+fn engine_arg(name: &str) -> EngineChoice {
+    EngineChoice::parse(name).unwrap_or_else(|| {
+        eprintln!("unknown engine {name:?} (known: sat, stochastic, auto)");
+        usage();
+    })
+}
+
 fn parse_cli() -> Cli {
     let mut args = std::env::args().skip(1);
     let mut cli = Cli {
@@ -105,35 +132,9 @@ fn parse_cli() -> Cli {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--proc" => cli.proc_name = Some(need(&mut args, "--proc")),
-            "--machine" => {
-                cli.options.machine = match need(&mut args, "--machine").as_str() {
-                    "ev6" => Machine::ev6(),
-                    "ia64like" => Machine::ia64like(),
-                    "ev6-unclustered" => Machine::ev6_unclustered(),
-                    "single-issue" => Machine::single_issue(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        usage();
-                    }
-                }
-            }
-            "--solver" => {
-                cli.options.solver = match need(&mut args, "--solver").as_str() {
-                    "cdcl" => SolverChoice::Cdcl,
-                    "dpll" => SolverChoice::Dpll,
-                    other => {
-                        eprintln!("unknown solver {other}");
-                        usage();
-                    }
-                }
-            }
-            "--engine" => {
-                let name = need(&mut args, "--engine");
-                cli.options.engine = EngineChoice::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown engine {name} (known: sat, stochastic, auto)");
-                    usage();
-                })
-            }
+            "--machine" => cli.options.machine = machine_arg(&need(&mut args, "--machine")),
+            "--solver" => cli.options.solver = solver_arg(&need(&mut args, "--solver")),
+            "--engine" => cli.options.engine = engine_arg(&need(&mut args, "--engine")),
             "--load-latency" => {
                 cli.options.load_latency = Some(
                     need(&mut args, "--load-latency")
@@ -298,33 +299,9 @@ fn serve(args: &[String]) -> ExitCode {
                 config.cache_bytes = parse(need(&mut args, "--cache-bytes"), "--cache-bytes")
             }
             "--cache-dir" => config.cache_dir = Some(need(&mut args, "--cache-dir").into()),
-            "--machine" => {
-                let name = need(&mut args, "--machine");
-                config.base.machine = match denali::serve::protocol::machine_by_name(&name) {
-                    Ok(machine) => machine,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        usage();
-                    }
-                }
-            }
-            "--solver" => {
-                config.base.solver = match need(&mut args, "--solver").as_str() {
-                    "cdcl" => SolverChoice::Cdcl,
-                    "dpll" => SolverChoice::Dpll,
-                    other => {
-                        eprintln!("unknown solver {other}");
-                        usage();
-                    }
-                }
-            }
-            "--engine" => {
-                let name = need(&mut args, "--engine");
-                config.base.engine = EngineChoice::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown engine {name} (known: sat, stochastic, auto)");
-                    usage();
-                })
-            }
+            "--machine" => config.base.machine = machine_arg(&need(&mut args, "--machine")),
+            "--solver" => config.base.solver = solver_arg(&need(&mut args, "--solver")),
+            "--engine" => config.base.engine = engine_arg(&need(&mut args, "--engine")),
             "--max-cycles" => {
                 config.base.max_cycles =
                     parse(need(&mut args, "--max-cycles"), "--max-cycles") as u32
