@@ -113,7 +113,8 @@ pub struct RoundStats {
     /// reports quiescence (recorded as an extra entry in the same
     /// iteration).
     pub verification: bool,
-    /// Wall-clock time for the round, in milliseconds.
+    /// Wall-clock time for the round, in milliseconds: what its
+    /// `saturate.round` span's `finish` returned.
     pub ms: f64,
 }
 
@@ -274,7 +275,6 @@ fn saturate_phase(
     let mut full_next = true;
     for _ in 0..limits.max_iterations {
         report.iterations += 1;
-        let round_start = std::time::Instant::now();
         let mut stats = RoundStats {
             full: full_next || !limits.delta_match,
             ..RoundStats::default()
@@ -385,15 +385,14 @@ fn saturate_phase(
 
         report.scanned_candidates += stats.scanned;
         report.skipped_candidates += stats.skipped;
-        stats.ms = round_start.elapsed().as_secs_f64() * 1e3;
-        report.rounds.push(stats);
         emit_egraph_stats(egraph, ops_before, tracer);
-        round_span.finish_fields(vec![
+        stats.ms = round_span.finish_fields(vec![
             field("scanned", stats.scanned),
             field("skipped", stats.skipped),
             field("instances", stats.instances),
             field("truncated", truncated),
         ]);
+        report.rounds.push(stats);
 
         // A truncated round may have discarded matches whose roots lie
         // outside the next cone; rescan everything to pick them up.
@@ -405,7 +404,6 @@ fn saturate_phase(
                 // counts as quiescence if a complete re-match (same
                 // round) agrees. If the cone ever missed something this
                 // applies it and keeps going instead of stopping early.
-                let verify_start = std::time::Instant::now();
                 let mut vstats = RoundStats {
                     full: true,
                     verification: true,
@@ -439,16 +437,15 @@ fn saturate_phase(
                 egraph.rebuild()?;
                 report.scanned_candidates += vstats.scanned;
                 report.skipped_candidates += vstats.skipped;
-                vstats.ms = verify_start.elapsed().as_secs_f64() * 1e3;
-                let idle = vstats.instances == 0;
-                report.rounds.push(vstats);
                 emit_egraph_stats(egraph, vops_before, tracer);
-                verify_span.finish_fields(vec![
+                vstats.ms = verify_span.finish_fields(vec![
                     field("scanned", vstats.scanned),
                     field("skipped", vstats.skipped),
                     field("instances", vstats.instances),
                     field("truncated", vtruncated),
                 ]);
+                let idle = vstats.instances == 0;
+                report.rounds.push(vstats);
                 full_next = vtruncated;
                 if idle {
                     report.saturated = true;

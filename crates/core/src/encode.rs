@@ -29,13 +29,11 @@
 
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
-use std::time::Instant;
 
 use denali_arch::{Machine, Unit};
 use denali_egraph::ClassId;
 use denali_sat::dimacs::Cnf;
 use denali_sat::{Lit, SolveResult, SolverBackend, SolverStats, Var};
-use denali_trace::{field, Tracer};
 
 use crate::machine_terms::{CandidateKind, Candidates};
 use crate::matcher::Matched;
@@ -627,28 +625,6 @@ pub fn encode(rules: &Rules, k: u32) -> Encoding {
     }
 }
 
-/// One assumption-based probe of an [`IncrementalEncoding`].
-#[derive(Clone, Copy, Debug)]
-pub struct IncrementalProbe {
-    /// Whether a schedule exists within the probed budget.
-    pub satisfiable: bool,
-    /// True if an installed interrupt flag (see
-    /// [`IncrementalEncoding::set_interrupt`]) stopped the solver
-    /// before it reached an answer; `satisfiable` is meaningless then.
-    pub interrupted: bool,
-    /// Live solver variable count (cumulative across budgets).
-    pub vars: usize,
-    /// Live solver problem-clause count (cumulative across budgets).
-    pub clauses: usize,
-    /// Milliseconds spent growing the encoding for this probe.
-    pub encode_ms: f64,
-    /// Milliseconds inside [`SolverBackend::solve_under`].
-    pub solve_ms: f64,
-    /// This probe's solver work (counters are per-probe deltas; gauges
-    /// such as `carried_learned` describe the live solver).
-    pub stats: SolverStats,
-}
-
 /// The budget-*monotone* form of the [`encode`] formula, held inside one
 /// persistent [`SolverBackend`] so a sequence of cycle-budget probes
 /// shares whatever the backend keeps between solves (the CDCL solver:
@@ -677,7 +653,9 @@ pub struct IncrementalProbe {
 ///
 /// The probe answers are identical to solving [`encode`]'s fresh
 /// formula at each budget; only solver statistics and formula sizes
-/// differ (they are cumulative here).
+/// differ (they are cumulative here). The encoding keeps no clock: the
+/// search times [`IncrementalEncoding::grow_to`] and
+/// [`IncrementalEncoding::solve`] in its own trace spans.
 pub struct IncrementalEncoding<'a, B> {
     rules: &'a Rules<'a>,
     solver: B,
@@ -705,7 +683,7 @@ pub struct IncrementalEncoding<'a, B> {
 
 impl<'a, B: SolverBackend> IncrementalEncoding<'a, B> {
     /// Creates an empty encoding (horizon 0) of `rules` on an empty
-    /// `solver`; the first [`IncrementalEncoding::probe`] grows it.
+    /// `solver`; [`IncrementalEncoding::grow_to`] grows it.
     pub fn new(rules: &'a Rules<'a>, solver: B) -> IncrementalEncoding<'a, B> {
         let candidates = rules.candidates;
         let mut level_of = HashMap::new();
@@ -732,8 +710,8 @@ impl<'a, B: SolverBackend> IncrementalEncoding<'a, B> {
     }
 
     /// Installs a shared interrupt flag on the persistent solver. Once
-    /// the flag is raised, the in-flight probe (and any later one)
-    /// returns with [`IncrementalProbe::interrupted`] set at the
+    /// the flag is raised, the in-flight [`IncrementalEncoding::solve`]
+    /// (and any later one) returns [`SolveResult::Interrupted`] at the
     /// solver's next checkpoint instead of an answer. Used by request
     /// deadlines to abandon a search mid-probe.
     pub fn set_interrupt(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
@@ -896,43 +874,36 @@ impl<'a, B: SolverBackend> IncrementalEncoding<'a, B> {
         head
     }
 
-    /// Asks whether a `k`-cycle schedule exists, reusing the live
-    /// solver. Growing the horizon (when `k > horizon`) only adds
-    /// variables and clauses and is logged as one `encode.grow` event
-    /// (old/new horizon, variables and clauses added); the budget
-    /// restriction itself is pure assumptions, so the answer matches a
-    /// fresh [`encode`] at `k`.
+    /// Grows the encoded horizon to at least `k` cycles, one cycle at a
+    /// time, and returns the horizon it had before. Growing only adds
+    /// variables and clauses to the live solver.
     ///
-    /// The horizon grows one cycle at a time, so the live formula at
-    /// horizon `h` is the same whichever budgets were probed first. A
-    /// jump over several cycles at once would number the variables
-    /// class by class instead of cycle by cycle, and a backend that
-    /// branches in variable order (DPLL) is very sensitive to that.
+    /// One cycle at a time keeps the live formula at horizon `h` the
+    /// same whichever budgets were probed first. A jump over several
+    /// cycles at once would number the variables class by class instead
+    /// of cycle by cycle, and a backend that branches in variable order
+    /// (DPLL) is very sensitive to that.
+    pub fn grow_to(&mut self, k: u32) -> u32 {
+        let from = self.horizon;
+        while self.horizon < k {
+            self.grow();
+        }
+        from
+    }
+
+    /// Asks whether a `k`-cycle schedule exists, reusing the live
+    /// solver. The budget restriction is pure assumptions, so the answer
+    /// matches a fresh [`encode`] at `k`. Returns
+    /// [`SolveResult::Interrupted`] once an installed interrupt flag is
+    /// raised.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` (the zero-launch case never probes).
-    pub fn probe(&mut self, k: u32, tracer: &Tracer) -> IncrementalProbe {
+    /// Panics if `k == 0` (the zero-launch case never probes) or if `k`
+    /// lies beyond the horizon ([`IncrementalEncoding::grow_to`] first).
+    pub fn solve(&mut self, k: u32) -> SolveResult {
         assert!(k >= 1, "budgets start at one cycle");
-        let encode_start = Instant::now();
-        if k > self.horizon {
-            let old_h = self.horizon;
-            let before = self.solver.stats();
-            while self.horizon < k {
-                self.grow();
-            }
-            tracer.event("encode.grow", || {
-                let after = self.solver.stats();
-                vec![
-                    field("from", old_h),
-                    field("to", k),
-                    field("new_vars", after.vars - before.vars),
-                    field("new_clauses", after.clauses - before.clauses),
-                ]
-            });
-        }
-        let encode_ms = encode_start.elapsed().as_secs_f64() * 1e3;
-
+        assert!(k <= self.horizon, "budget {k} beyond the horizon");
         let mut assumptions: Vec<Lit> = (k..self.horizon)
             .map(|e| Lit::neg(self.active[e as usize]))
             .collect();
@@ -940,28 +911,13 @@ impl<'a, B: SolverBackend> IncrementalEncoding<'a, B> {
         if let Some(f) = self.frontier {
             assumptions.push(Lit::neg(f));
         }
+        self.solver.solve_under(&assumptions)
+    }
 
-        let before = self.solver.stats();
-        let solve_start = Instant::now();
-        let result = self.solver.solve_under(&assumptions);
-        let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
-        let (satisfiable, interrupted) = match result {
-            SolveResult::Sat => (true, false),
-            SolveResult::Unsat => (false, false),
-            // Only possible when `set_interrupt` installed a flag and
-            // it was raised (deadline cancellation).
-            SolveResult::Interrupted => (false, true),
-        };
-        let after = self.solver.stats();
-        IncrementalProbe {
-            satisfiable,
-            interrupted,
-            vars: after.vars as usize,
-            clauses: after.clauses as usize,
-            encode_ms,
-            solve_ms,
-            stats: after.since(before),
-        }
+    /// The live solver's counters: the `vars`/`clauses` sizes are
+    /// cumulative across budgets, the work counters across solves.
+    pub fn stats(&self) -> SolverStats {
+        self.solver.stats()
     }
 }
 

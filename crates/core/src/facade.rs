@@ -483,6 +483,12 @@ impl Denali {
         let matched = match_gma_traced(&gma, axioms, &self.options.saturation, tracer);
         let match_ms = span.finish();
         let matched = matched.map_err(stage_err("match"))?;
+        // Each round's time is its `saturate.round` span's; observed here,
+        // once, whichever engine answers.
+        let metrics = pipeline_metrics();
+        for round in &matched.report.rounds {
+            metrics.round_us.observe_ms(round.ms);
+        }
         let egraph_memory = matched.egraph.memory_stats();
         // Phase boundary: a deadline raised during matching stops here
         // rather than entering enumeration (saturation itself is
@@ -601,15 +607,7 @@ impl Denali {
         // completed compile regardless of caller (CLI, tests, server).
         // Recording is nanoseconds per event and never part of the
         // fingerprint or the result.
-        let metrics = pipeline_metrics();
         metrics.compiles.inc();
-        for round in &matched.report.rounds {
-            metrics.round_us.observe_ms(round.ms);
-        }
-        for probe in &outcome.probes {
-            metrics.solve_us.observe_ms(probe.solve_ms);
-            metrics.encode_us.observe_ms(probe.encode_ms);
-        }
         metrics.egraph_nodes.set(egraph_memory.nodes);
         metrics.egraph_bytes.set(egraph_memory.total_bytes);
         Ok(CompiledGma {
@@ -770,18 +768,20 @@ pub struct StokeRun {
 }
 
 /// Process-wide pipeline metric handles, resolved once. The handles are
-/// `Arc`s into [`denali_metrics::global`], so the per-compile recording
-/// above never touches the registry lock.
-struct PipelineMetrics {
+/// `Arc`s into [`denali_metrics::global`], so recording never touches
+/// the registry lock. Each value is observed where it is measured: the
+/// probe times in the search's probe spans, the round times right after
+/// matching, the rest per compiled GMA.
+pub(crate) struct PipelineMetrics {
     compiles: std::sync::Arc<denali_metrics::Counter>,
-    solve_us: std::sync::Arc<denali_metrics::Histogram>,
-    encode_us: std::sync::Arc<denali_metrics::Histogram>,
+    pub(crate) solve_us: std::sync::Arc<denali_metrics::Histogram>,
+    pub(crate) encode_us: std::sync::Arc<denali_metrics::Histogram>,
     round_us: std::sync::Arc<denali_metrics::Histogram>,
     egraph_nodes: std::sync::Arc<denali_metrics::Gauge>,
     egraph_bytes: std::sync::Arc<denali_metrics::Gauge>,
 }
 
-fn pipeline_metrics() -> &'static PipelineMetrics {
+pub(crate) fn pipeline_metrics() -> &'static PipelineMetrics {
     static METRICS: std::sync::OnceLock<PipelineMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| {
         let registry = denali_metrics::global();

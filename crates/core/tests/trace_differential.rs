@@ -102,15 +102,22 @@ fn figure2_trace_matches_schema_golden() {
         "search",
         "search.ascent",
         "search.decode",
-        "encode.grow",
         "probe",
         "encode",
         "solve",
-        "sat.probe",
     ] {
         assert!(
             records.iter().any(|r| r.name() == Some(name)),
             "trace is missing a {name} record"
+        );
+    }
+    // Probes are live spans: no retrospective records, no events that
+    // repeat a span's fields.
+    for r in &records {
+        assert!(!matches!(r, Record::Complete { .. }), "{r:?}");
+        assert!(
+            !matches!(r.name(), Some("sat.probe" | "encode.grow")),
+            "{r:?}"
         );
     }
 

@@ -498,7 +498,6 @@ impl Server {
         let total = admitted.elapsed();
         tracer.complete_span(
             "serve.request",
-            None,
             0.0,
             total.as_secs_f64() * 1e3,
             vec![
@@ -553,7 +552,6 @@ impl Server {
         }
         self.tracer.complete_span(
             "serve.request",
-            None,
             ms,
             ms,
             vec![

@@ -144,18 +144,18 @@ mod tests {
     #[test]
     fn export_is_valid_and_nested() {
         let t = Tracer::new();
-        let outer = t.span("search");
+        let outer = t.span("serve");
         std::thread::sleep(std::time::Duration::from_millis(2));
-        t.complete_span("probe", None, 0.0, 1.0, vec![field("k", 2u32)]);
-        t.event("sat.probe", || vec![field("outcome", "unsat")]);
+        t.complete_span("serve.request", 0.0, 1.0, vec![field("k", 2u32)]);
+        t.event("serve.shed", || vec![field("outcome", "busy")]);
         outer.finish();
         let doc = chrome_parse(&to_string(&t.records()));
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert_eq!(events.len(), 3);
-        // The span became an X event enclosing the probe's timestamps.
+        // The span became an X event enclosing the request's timestamps.
         let outer_ev = &events[0];
         assert_eq!(outer_ev.get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(outer_ev.get("name").and_then(Json::as_str), Some("search"));
+        assert_eq!(outer_ev.get("name").and_then(Json::as_str), Some("serve"));
         let o_ts = outer_ev.get("ts").and_then(Json::as_u64).unwrap();
         let o_dur = outer_ev.get("dur").and_then(Json::as_u64).unwrap();
         let probe_ev = &events[1];
@@ -163,7 +163,7 @@ mod tests {
         let p_dur = probe_ev.get("dur").and_then(Json::as_u64).unwrap();
         assert!(
             o_ts <= p_ts && p_ts + p_dur <= o_ts + o_dur,
-            "probe nests in search"
+            "request nests in serve"
         );
         assert_eq!(
             probe_ev
