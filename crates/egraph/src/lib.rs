@@ -55,6 +55,6 @@ pub use egraph::{
     ClassId, Delta, EGraph, EGraphError, ENode, EqLiteral, MemoryStats, NodeId, OpCounts, SliceId,
 };
 pub use ematch::{
-    candidates, ematch, ematch_classes, ematch_delta, ematch_in_class, pattern_depth, Subst,
+    candidates, ematch, ematch_classes, ematch_classes_with, ematch_in_class, pattern_depth, Subst,
 };
 pub use hash::{SeededHasher, SeededMap, SeededSet, SeededState};
