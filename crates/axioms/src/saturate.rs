@@ -28,9 +28,10 @@
 //! every round (the reference the differential tests compare against).
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use denali_egraph::{
-    candidates, ematch_classes, pattern_depth, ClassId, Delta, EGraph, EGraphError, EqLiteral,
+    candidates, ematch_classes_with, pattern_depth, ClassId, Delta, EGraph, EGraphError, EqLiteral,
     SeededSet, Subst,
 };
 use denali_term::{Op, Symbol, Term};
@@ -521,7 +522,6 @@ fn match_and_replay(
     // and emitted as `ematch.axiom` events after the serial replay.
     let mut axiom_scanned = vec![0u64; axioms.len()];
     let mut axiom_matches = vec![0u64; axioms.len()];
-    let mut axiom_applied = vec![0u64; axioms.len()];
 
     // Collect this round's matches, one pattern at a time in work
     // order. Each pattern's top-level candidates are delta-filtered;
@@ -531,6 +531,16 @@ fn match_and_replay(
     // filtering and the canonical dedup keys need no mutation, and the
     // stateful parts are replayed below.
     let mut per_pattern: Vec<Vec<(Subst, Key)>> = Vec::with_capacity(patterns.len());
+    // A structural axiom's patterns feed one queue. The replay's
+    // round-robin takes a prefix of it holding at most
+    // `max_structural_per_round` distinct keys not yet in `applied`, so
+    // a structural pattern keeps only such entries and its stream stops
+    // once the axiom's queue holds one distinct key more than that. The
+    // round-robin's prefix ends before that entry, which still marks the
+    // round truncated. Only the round-robin writes a structural axiom's
+    // `applied` set, so it reads here as it will there. `queued` holds
+    // the distinct keys of the current structural axiom's queue.
+    let mut queued: SeededSet<Key> = SeededSet::default();
     for (pi, &(axiom_idx, pattern)) in patterns.iter().enumerate() {
         let mut cands = candidates(egraph, pattern);
         if let Some(cone) = cone {
@@ -544,26 +554,35 @@ fn match_and_replay(
         let match_start = std::time::Instant::now();
         let axiom = &axioms[axiom_idx];
         let body_vars = &body_vars[axiom_idx];
+        let structural = axiom.priority == AxiomPriority::Structural;
+        if pi == 0 || patterns[pi - 1].0 != axiom_idx {
+            queued.clear();
+        }
+        let full = |queued: &SeededSet<Key>| queued.len() > limits.max_structural_per_round;
+        let mut enumerated = 0u64;
         let mut out = Vec::new();
-        for (_, subst) in ematch_classes(egraph, pattern, &cands) {
-            if !body_vars.iter().all(|&v| subst.contains(v)) {
-                continue; // pattern does not bind every body variable
-            }
-            if let Some(cond) = &axiom.condition {
-                let values: Option<Vec<u64>> = cond
-                    .vars
-                    .iter()
-                    .map(|&v| subst.get(v).and_then(|c| egraph.constant(c)))
-                    .collect();
-                match values {
-                    Some(vs) if (cond.pred)(&vs) => {}
-                    _ => continue,
+        if !(structural && full(&queued)) {
+            let _ = ematch_classes_with(egraph, pattern, &cands, |_, subst| {
+                if !admits(egraph, axiom, body_vars, &subst) {
+                    return ControlFlow::Continue(());
                 }
-            }
-            // Bindings iterate in sorted variable order, so the key
-            // needs no sort.
-            let key: Key = subst.iter().map(|(v, c)| (v, egraph.find(c))).collect();
-            out.push((subst, key));
+                enumerated += 1;
+                // Bindings iterate in sorted variable order, so the key
+                // needs no sort.
+                let key: Key = subst.iter().map(|(v, c)| (v, egraph.find(c))).collect();
+                if structural {
+                    if applied[axiom_idx].contains(&key) {
+                        return ControlFlow::Continue(());
+                    }
+                    queued.insert(key.clone());
+                }
+                out.push((subst, key));
+                if structural && full(&queued) {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
         }
         if !cands.is_empty() {
             tracer.event("ematch.chunk", || {
@@ -571,19 +590,77 @@ fn match_and_replay(
                     field("axiom", axiom.name.clone()),
                     field("pattern", pi),
                     field("candidates", cands.len()),
-                    field("matches", out.len()),
+                    field("matches", enumerated),
                     field("match_us", match_start.elapsed().as_micros() as u64),
                 ]
             });
         }
-        axiom_matches[axiom_idx] += out.len() as u64;
+        axiom_matches[axiom_idx] += enumerated;
         per_pattern.push(out);
     }
 
-    // Serial replay: budget accounting and deduplication in axiom
-    // order. Structural (associativity-style) instances are budgeted
-    // and shared fairly across axioms so they cannot starve each
-    // other or blow the e-graph up.
+    #[cfg(test)]
+    let oracle = tests::replay_everything(
+        egraph,
+        axioms,
+        patterns,
+        body_vars,
+        cone,
+        limits,
+        applied.to_vec(),
+    );
+    let (instances, truncated, axiom_applied) =
+        replay(egraph, axioms, limits, per_pattern, applied);
+    #[cfg(test)]
+    tests::assert_round_matches_oracle(oracle, &instances, truncated, applied);
+    // Per-axiom round summary, in axiom order (quiet axioms omitted).
+    for (i, axiom) in axioms.iter().enumerate() {
+        if axiom_scanned[i] == 0 && axiom_matches[i] == 0 && axiom_applied[i] == 0 {
+            continue;
+        }
+        tracer.event("ematch.axiom", || {
+            vec![
+                field("axiom", axiom.name.clone()),
+                field("scanned", axiom_scanned[i]),
+                field("matches", axiom_matches[i]),
+                field("applied", axiom_applied[i]),
+            ]
+        });
+    }
+    (instances, truncated)
+}
+
+/// True if `subst` instantiates `axiom`: it binds every body variable
+/// and its constants pass the side condition.
+fn admits(egraph: &EGraph, axiom: &Axiom, body_vars: &[Symbol], subst: &Subst) -> bool {
+    if !body_vars.iter().all(|&v| subst.contains(v)) {
+        return false;
+    }
+    let Some(cond) = &axiom.condition else {
+        return true;
+    };
+    let values: Option<Vec<u64>> = cond
+        .vars
+        .iter()
+        .map(|&v| subst.get(v).and_then(|c| egraph.constant(c)))
+        .collect();
+    values.is_some_and(|vs| (cond.pred)(&vs))
+}
+
+/// The serial replay of one round's matches, `per_pattern` in work
+/// order: budget accounting and deduplication in axiom order.
+/// Structural (associativity-style) instances are budgeted and shared
+/// fairly across axioms so they cannot starve each other or blow the
+/// e-graph up. Returns the instances to apply, whether a budget
+/// truncated work, and the instances applied per axiom.
+fn replay(
+    egraph: &EGraph,
+    axioms: &[Axiom],
+    limits: &SaturationLimits,
+    per_pattern: Vec<Vec<(Subst, Key)>>,
+    applied: &mut [SeededSet<Key>],
+) -> (Vec<(usize, Subst)>, bool, Vec<u64>) {
+    let mut axiom_applied = vec![0u64; axioms.len()];
     let mut truncated = false;
     let mut instances: Vec<(usize, Subst)> = Vec::new();
     let mut structural_queues: Vec<Vec<(usize, Subst)>> = Vec::new();
@@ -611,6 +688,7 @@ fn match_and_replay(
                 axiom_applied[i] += 1;
                 instances.push((i, subst));
                 if instances.len() >= limits.max_instances_per_round {
+                    truncated = true;
                     break;
                 }
             }
@@ -650,21 +728,7 @@ fn match_and_replay(
     {
         truncated = true;
     }
-    // Per-axiom round summary, in axiom order (quiet axioms omitted).
-    for (i, axiom) in axioms.iter().enumerate() {
-        if axiom_scanned[i] == 0 && axiom_matches[i] == 0 && axiom_applied[i] == 0 {
-            continue;
-        }
-        tracer.event("ematch.axiom", || {
-            vec![
-                field("axiom", axiom.name.clone()),
-                field("scanned", axiom_scanned[i]),
-                field("matches", axiom_matches[i]),
-                field("applied", axiom_applied[i]),
-            ]
-        });
-    }
-    (instances, truncated)
+    (instances, truncated, axiom_applied)
 }
 
 /// Asserts a batch of axiom instances into the e-graph.
@@ -727,7 +791,178 @@ pub fn class_ops(egraph: &EGraph, class: ClassId) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::axiom::Axiom;
+    use denali_egraph::ematch_classes;
+    use denali_prng::{forall, Rng};
     use denali_trace::{Record, Value};
+
+    /// What one round's replay produced: the instances to apply, the
+    /// truncation flag and every axiom's `applied` set afterwards.
+    type Round = (Vec<(usize, Subst)>, bool, Vec<SeededSet<Key>>);
+
+    /// The match pass before streaming, kept as the oracle for it: every
+    /// pattern's matches are enumerated in full, then replayed.
+    pub(super) fn replay_everything(
+        egraph: &EGraph,
+        axioms: &[Axiom],
+        patterns: &[(usize, &Term)],
+        body_vars: &[Vec<Symbol>],
+        cone: Option<&HashSet<ClassId>>,
+        limits: &SaturationLimits,
+        mut applied: Vec<SeededSet<Key>>,
+    ) -> Round {
+        let per_pattern = patterns
+            .iter()
+            .map(|&(axiom_idx, pattern)| {
+                let mut cands = candidates(egraph, pattern);
+                if let Some(cone) = cone {
+                    cands.retain(|c| cone.contains(c));
+                }
+                ematch_classes(egraph, pattern, &cands)
+                    .into_iter()
+                    .filter(|(_, s)| admits(egraph, &axioms[axiom_idx], &body_vars[axiom_idx], s))
+                    .map(|(_, subst)| {
+                        let key: Key = subst.iter().map(|(v, c)| (v, egraph.find(c))).collect();
+                        (subst, key)
+                    })
+                    .collect()
+            })
+            .collect();
+        let (instances, truncated, _) = replay(egraph, axioms, limits, per_pattern, &mut applied);
+        (instances, truncated, applied)
+    }
+
+    /// Every round of every saturation these unit tests run checks the
+    /// streamed round against [`replay_everything`].
+    pub(super) fn assert_round_matches_oracle(
+        oracle: Round,
+        instances: &[(usize, Subst)],
+        truncated: bool,
+        applied: &[SeededSet<Key>],
+    ) {
+        assert_eq!(oracle.0, instances, "applied instance sequence");
+        assert_eq!(oracle.1, truncated, "truncated flag");
+        assert!(oracle.2 == applied, "applied sets");
+    }
+
+    /// Limits whose structural budget is small enough that most
+    /// structural rounds are truncated; some runs also get a small
+    /// instance budget.
+    fn small_budgets(rng: &mut Rng) -> SaturationLimits {
+        SaturationLimits {
+            max_structural_per_round: rng.below(40) as usize,
+            max_instances_per_round: if rng.below(4) == 0 {
+                1 + rng.below(300) as usize
+            } else {
+                SaturationLimits::default().max_instances_per_round
+            },
+            ..SaturationLimits::default()
+        }
+    }
+
+    /// Saturates the goal terms of one GMA, as the matching phase does,
+    /// and returns how many of its rounds were truncated.
+    fn saturate_goals(goals: &[Term], axioms: &[Axiom], limits: &SaturationLimits) -> usize {
+        let mut eg = EGraph::new();
+        for goal in goals {
+            eg.add_term(goal).unwrap();
+        }
+        let tracer = Tracer::new();
+        saturate_traced(&mut eg, axioms, limits, &tracer).unwrap();
+        tracer
+            .records()
+            .iter()
+            .filter(|r| {
+                matches!(r, Record::End { .. }) && r.get("truncated") == Some(&Value::Bool(true))
+            })
+            .count()
+    }
+
+    /// Random goal expressions over two inputs.
+    fn random_goal(rng: &mut Rng, depth: usize) -> Term {
+        if depth == 0 || rng.below(4) == 0 {
+            return match rng.below(3) {
+                0 => Term::leaf("a"),
+                1 => Term::leaf("b"),
+                _ => Term::constant(rng.below(256)),
+            };
+        }
+        let args = |rng: &mut Rng| vec![random_goal(rng, depth - 1), random_goal(rng, depth - 1)];
+        match rng.below(7) {
+            0 => Term::call("add64", args(rng)),
+            1 => Term::call("sub64", args(rng)),
+            2 => Term::call("and64", args(rng)),
+            3 => Term::call("or64", args(rng)),
+            4 => Term::call("xor64", args(rng)),
+            5 => Term::call(
+                "shl64",
+                vec![random_goal(rng, depth - 1), Term::constant(rng.below(64))],
+            ),
+            _ => Term::call(
+                "selectb",
+                vec![random_goal(rng, depth - 1), Term::constant(rng.below(8))],
+            ),
+        }
+    }
+
+    #[test]
+    fn streamed_rounds_match_the_oracle_on_random_gmas() {
+        let axioms = crate::builtin::standard_axioms();
+        let mut truncated = 0;
+        forall(
+            "streamed_rounds_match_the_oracle_on_random_gmas",
+            16,
+            |rng| {
+                // A GMA's goals: up to three assignments and maybe a guard.
+                let mut goals: Vec<Term> =
+                    (0..1 + rng.below(3)).map(|_| random_goal(rng, 3)).collect();
+                if rng.below(3) == 0 {
+                    goals.push(Term::call(
+                        "cmpult",
+                        vec![random_goal(rng, 2), random_goal(rng, 2)],
+                    ));
+                }
+                truncated += saturate_goals(&goals, &axioms, &small_budgets(rng));
+            },
+        );
+        assert!(truncated > 0, "no round was truncated");
+    }
+
+    #[test]
+    fn streamed_rounds_match_the_oracle_on_the_corpus() {
+        let dir = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../pipeline_bench/src/corpus"
+        );
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no corpus under {dir}");
+        let mut rng = Rng::new(21);
+        let mut truncated = 0;
+        for file in &files {
+            let source = std::fs::read_to_string(file).unwrap();
+            let program = denali_lang::parse_program(&source).unwrap();
+            let mut axioms = crate::builtin::axioms_for("ev6");
+            for (i, form) in program.axiom_forms.iter().enumerate() {
+                axioms.push(Axiom::parse_sexpr(form, &format!("axiom-{i}")).unwrap());
+            }
+            for proc in &program.procs {
+                for gma in denali_lang::lower_proc(proc).unwrap() {
+                    let goals: Vec<Term> = gma
+                        .guard
+                        .iter()
+                        .chain(gma.assigns.iter().map(|(_, t)| t))
+                        .chain(&gma.mem)
+                        .cloned()
+                        .collect();
+                    truncated += saturate_goals(&goals, &axioms, &small_budgets(&mut rng));
+                }
+            }
+        }
+        assert!(truncated > 0, "no round was truncated");
+    }
 
     fn pat(s: &str, vars: &[&str]) -> Term {
         let vars: Vec<Symbol> = vars.iter().map(|v| Symbol::intern(v)).collect();

@@ -155,3 +155,31 @@ fn delta_matches_full_under_tight_budgets() {
         assert_equivalent(&term, &axioms, &full, &delta);
     });
 }
+
+#[test]
+fn instance_budget_filled_by_the_last_pattern_rescans_in_full() {
+    // Round 1 applies F's two instances and fills the instance budget
+    // inside the phase's last pattern. The round must count as
+    // truncated: P's match on (p (f x)) only appears after F's
+    // instances, and its root is not in the next round's cone.
+    let pat = |s: &str| Term::from_sexpr(&sexpr::parse_one(s).unwrap(), &["a".into()]).unwrap();
+    let axioms = [
+        Axiom::equality("P", &["a"], pat("(p (g a))"), pat("(q a)")),
+        Axiom::equality("Q", &["a"], pat("(q a)"), pat("(r (s a))")),
+        Axiom::equality("F", &["a"], pat("(f a)"), pat("(g (t a))")),
+    ];
+    let run = |delta: bool| {
+        let mut eg = EGraph::new();
+        for term in ["(p (f x))", "(f y)", "(f z)"] {
+            eg.add_term(&pat(term)).unwrap();
+        }
+        let limits = SaturationLimits {
+            max_instances_per_round: 2,
+            delta_match: delta,
+            ..SaturationLimits::default()
+        };
+        let report = saturate(&mut eg, &axioms, &limits).unwrap();
+        (snapshot(&eg), report.iterations, report.instances)
+    };
+    assert_eq!(run(false), run(true));
+}
