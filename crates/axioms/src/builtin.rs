@@ -481,6 +481,14 @@ pub fn ia64_axioms() -> Vec<Axiom> {
             "(selectb w i)",
             "(extr_u w (mul64 8 i) 8)",
         ),
+        // The Alpha's 16-bit extract, which a program may name: it reads
+        // from bit 8·(i mod 8), and extr_u masks its position to 6 bits.
+        eq(
+            "extwl-extr",
+            &["w", "i"],
+            "(extwl w i)",
+            "(extr_u w (mul64 8 i) 16)",
+        ),
         // ---- conditional move and sign extension (same as Alpha) ----
         eq(
             "cmovne-def",

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use denali_arch::{validate, Simulator};
 use denali_core::{Denali, Options};
-use denali_term::value::Env;
+use denali_term::value::{CustomOp, Env};
 use denali_term::Symbol;
 
 /// Runs a compiled single-GMA program on `inputs` and checks every
@@ -16,6 +16,18 @@ fn check_against_reference(
     input_values: &[(&str, u64)],
     memory: HashMap<u64, u64>,
 ) -> denali_core::CompileResult {
+    check_against_reference_with(denali, source, input_values, memory, &[])
+}
+
+/// [`check_against_reference`] for a source that declares operations
+/// (`\opdecl`): `ops` gives the reference semantics of each.
+fn check_against_reference_with(
+    denali: &Denali,
+    source: &str,
+    input_values: &[(&str, u64)],
+    memory: HashMap<u64, u64>,
+    ops: &[(&str, CustomOp)],
+) -> denali_core::CompileResult {
     let result = denali.compile_source(source).expect("compiles");
     for compiled in &result.gmas {
         let program = &compiled.program;
@@ -25,6 +37,9 @@ fn check_against_reference(
         let mut env = Env::new();
         for &(name, value) in input_values {
             env.set_word(name, value);
+        }
+        for &(name, op) in ops {
+            env.define_op(name, op);
         }
         env.set_mem("M", memory.clone());
         let expected = compiled.gma.evaluate(&env).expect("reference evaluates");
@@ -479,6 +494,50 @@ fn ia64_shladd_subsumes_scaled_add() {
     let compiled = &result.gmas[0];
     assert_eq!(compiled.cycles, 1, "\n{}", compiled.program.listing(4));
     assert_eq!(compiled.program.instrs[0].op.as_str(), "shladd");
+}
+
+#[test]
+fn checksum_compiles_on_ia64like() {
+    // checksum names the Alpha's \extwl. The IA-64 set realizes it as a
+    // 16-bit extr_u, so all three GMAs compile and compute what the
+    // reference does, with the program's end-around-carry `add`.
+    let denali = Denali::new(Options {
+        machine: denali_arch::Machine::ia64like(),
+        ..Options::default()
+    });
+    let memory: HashMap<u64, u64> = (0..8u32)
+        .map(|i| {
+            let word = 0x0123_4567_89ab_cdef_u64.rotate_left(8 * i + 3);
+            (64 + 8 * u64::from(i), word)
+        })
+        .collect();
+    let inputs = [
+        ("ptr", 64),
+        ("ptrend", 128),
+        ("sum1", 0xffff_ffff_ffff_fff0),
+        ("sum2", 0x8000_0000_0000_0001),
+        ("sum3", 0x1234_5678_9abc_def0),
+        ("sum4", 0xfedc_ba98_7654_3210),
+        ("v1", 0x0f0f_0f0f_0f0f_0f0f),
+        ("v2", 0xf0f0_f0f0_f0f0_f0f0),
+        ("v3", 0x7fff_ffff_ffff_ffff),
+        ("v4", 0x0000_0000_ffff_ffff),
+    ];
+    let carry: CustomOp = |a| u64::from(a[0].wrapping_add(a[1]) < a[0]);
+    let add: CustomOp = |a| {
+        let s = a[0].wrapping_add(a[1]);
+        s.wrapping_add(u64::from(s < a[0]))
+    };
+    let result = check_against_reference_with(
+        &denali,
+        include_str!("../../../pipeline_bench/src/corpus/checksum.dnl"),
+        &inputs,
+        memory,
+        &[("carry", carry), ("add", add)],
+    );
+    let cycles: Vec<u32> = result.gmas.iter().map(|g| g.cycles).collect();
+    assert_eq!(cycles, [3, 5, 13]);
+    assert!(result.gmas.iter().all(|g| g.refuted_below));
 }
 
 #[test]
