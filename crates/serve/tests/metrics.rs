@@ -1,11 +1,19 @@
 //! Cross-checks between the server's observability surfaces: the
 //! `stats` body, the `/metrics` exposition, the per-stage/per-outcome
-//! latency histograms, and the flight recorder. Counters and histograms
+//! latency histograms, and the flight recorder — and between the
+//! histograms and the latency clients measure. Counters and histograms
 //! are recorded at different points by different code — these tests pin
 //! the invariants that keep them mutually consistent.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+
 use denali_axioms::SaturationLimits;
 use denali_core::Options;
+use denali_metrics::RESOLUTION;
+use denali_serve::server::serve_listener;
 use denali_serve::{Server, ServerConfig};
 use denali_trace::json::{self, Json};
 use denali_trace::{jsonl, report};
@@ -193,6 +201,115 @@ fn stage_histograms_sum_consistently_with_the_stats_counters() {
     assert_eq!(field("protocol_errors"), 1);
     assert_eq!(field("compiles.degraded"), 1);
     assert!(field("egraph.nodes") > 0);
+}
+
+/// The `q`-quantile of ascending `sorted` by nearest rank, the rank
+/// the server's histogram quantiles read.
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// One load run for the quantile cross-check: 16 clients, each on its
+/// own TCP connection, keep one request outstanding apiece against a
+/// fresh one-worker server, so most of a request's latency is its wait
+/// in the pool queue. Three requests in four are unique compiles; the
+/// fourth is drawn from a 4-program hot set (a cache hit, or coalesced
+/// onto its leader in flight). Client c sends its first request c ms
+/// after the start, so no burst of requests waits to be read before
+/// admission, where only the client would see it. Returns each
+/// quantile's client-measured and server-reported value, in ms.
+fn client_and_server_quantiles(quantiles: &[f64]) -> Vec<(f64, f64)> {
+    const CLIENTS: usize = 16;
+    const PER_CLIENT: usize = 8;
+    let server = Arc::new(
+        Server::new(ServerConfig {
+            base: fast_options(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap(),
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let _ = serve_listener(&server, &listener);
+        });
+    }
+    let start = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let sock = TcpStream::connect(addr).unwrap();
+                sock.set_nodelay(true).unwrap();
+                let mut reader = BufReader::new(sock.try_clone().unwrap());
+                let mut writer = sock;
+                // A ping answered means the server reads this connection,
+                // so no timed request waits for the accept loop.
+                writer.write_all(b"{\"type\":\"ping\",\"id\":0}\n").unwrap();
+                reader.read_line(&mut String::new()).unwrap();
+                start.wait();
+                std::thread::sleep(Duration::from_millis(c as u64));
+                let mut latencies_ms = Vec::with_capacity(PER_CLIENT);
+                for n in 0..PER_CLIENT {
+                    let i = n * CLIENTS + c;
+                    let program = if i.is_multiple_of(4) { 1_000_000 + (i / 4) % 4 } else { i };
+                    let source = format!(
+                        r"(\procdecl f{program} ((reg6 long)) long (:= (\res (+ (* reg6 4) {program}))))"
+                    );
+                    let line = compile_line(&format!("r{i}"), &source, "") + "\n";
+                    let sent = Instant::now();
+                    writer.write_all(line.as_bytes()).unwrap();
+                    let mut response = String::new();
+                    reader.read_line(&mut response).unwrap();
+                    latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
+                    let v = json::parse(response.trim_end()).unwrap();
+                    assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{response}");
+                }
+                latencies_ms
+            })
+        })
+        .collect();
+    let mut client_ms: Vec<f64> = clients
+        .into_iter()
+        .flat_map(|client| client.join().unwrap())
+        .collect();
+    client_ms.sort_by(f64::total_cmp);
+    let total = server.metrics().stage_total.snapshot();
+    assert_eq!(total.count(), (CLIENTS * PER_CLIENT) as u64);
+    quantiles
+        .iter()
+        .map(|&q| (nearest_rank(&client_ms, q), total.quantile(q) as f64 / 1e3))
+        .collect()
+}
+
+#[test]
+fn total_stage_quantiles_agree_with_client_measured_latency() {
+    // The server times a request from admission to its response, the
+    // client from its write to the response line: they differ by the
+    // read of the request, two thread wake-ups and the histogram's
+    // bucket rounding, so each of p50/p95/p99 must agree within one
+    // bucket on either side plus a 3 ms allowance. On a shared host a
+    // stalled CPU can hold the client's side of several requests for
+    // longer than that, so a run may be repeated twice; a server that
+    // misreports disagrees on every run.
+    const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+    const SLACK_MS: f64 = 3.0;
+    let mut runs = Vec::new();
+    for _ in 0..3 {
+        let measured = client_and_server_quantiles(&QUANTILES);
+        let agree = measured.iter().all(|&(client, server)| {
+            (client - server).abs() <= 2.0 * RESOLUTION * client.max(server) + SLACK_MS
+        });
+        if agree {
+            return;
+        }
+        runs.push(measured);
+    }
+    panic!("client vs server (ms) at {QUANTILES:?} disagree on every run: {runs:?}");
 }
 
 #[test]

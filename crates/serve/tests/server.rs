@@ -1,14 +1,17 @@
-//! End-to-end server behavior, without sockets: the response-level
-//! guarantees the PR promises. Each test drives [`Server::handle_line`]
-//! (or [`serve_lines`] where admission matters) with real request
-//! lines and asserts on the exact response bytes.
+//! End-to-end server behavior: the response-level guarantees. Each
+//! test drives [`Server::handle_line`] (or [`serve_lines`] where
+//! admission matters, and [`serve_listener`] where concurrent requests
+//! each need a worker) with real request lines and asserts on the exact
+//! response bytes.
 
-use std::sync::{Arc, Mutex};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Barrier, Mutex};
 
 use denali_axioms::SaturationLimits;
 use denali_core::Options;
 use denali_serve::pool::Pool;
-use denali_serve::server::serve_lines;
+use denali_serve::server::{serve_lines, serve_listener};
 use denali_serve::{Server, ServerConfig};
 use denali_trace::json::{self, Json};
 
@@ -207,59 +210,96 @@ fn expired_deadline_under_auto_engine_harvests_the_stochastic_best() {
     // stochastic prepass finish in a couple of seconds and publish a
     // verified 6-cycle candidate (the greedy baseline needs 7). A
     // deadline that expires mid-search must therefore harvest the
-    // chain's best instead of degrading to the baseline.
-    let source = r"
-(\procdecl byteswap4 ((a long)) long
+    // chain's best instead of degrading to the baseline. Two distinct
+    // fixtures arrive at once over TCP, one per worker, so neither
+    // queues: each deadline must be harvested on its own.
+    let source = |i: usize| {
+        format!(
+            r"
+(\procdecl byteswap4_{i} ((a long)) long
   (\var (r long 0)
     (\semi
       (:= ((\selectb r 0) (\selectb a 3)))
       (:= ((\selectb r 1) (\selectb a 2)))
       (:= ((\selectb r 2) (\selectb a 1)))
       (:= ((\selectb r 3) (\selectb a 0)))
-      (:= (\res r)))))";
-    let server = Server::new(ServerConfig::default()).unwrap();
-    let resp = server
-        .handle_line(&compile_line(
-            "h",
-            source,
-            r#","deadline_ms":8000,"options":{"solver":"dpll","engine":"auto"}"#,
-        ))
-        .unwrap();
-    let v = json::parse(&resp).unwrap();
-    assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{resp}");
-    // Harvested answers are real verified programs, not degraded
-    // baselines — and the body says which engine produced them.
-    assert_eq!(v.get("degraded").and_then(Json::as_bool), Some(false));
-    assert_eq!(v.get("engine").and_then(Json::as_str), Some("stochastic"));
-    let gmas = v.get("gmas").and_then(Json::as_arr).unwrap();
-    assert_eq!(gmas.len(), 1);
-    let gma = &gmas[0];
-    // No optimality certificate — the chain cannot refute anything.
-    assert_eq!(
-        gma.get("refuted_below").and_then(Json::as_bool),
-        Some(false)
+      (:= (\res r)))))"
+        )
+    };
+    let server = Arc::new(
+        Server::new(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap(),
     );
-    // Strictly cheaper than the 7-cycle greedy baseline (the fixed
-    // default seed finds 6; anything below 7 proves a real harvest).
-    let cycles = gma.get("cycles").and_then(Json::as_u64).unwrap();
-    assert!(cycles < 7, "harvest beat the baseline, got {cycles}");
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let _ = serve_listener(&server, &listener);
+        });
+    }
+    let release = Arc::new(Barrier::new(2));
+    let clients: Vec<_> = (0..2)
+        .map(|i| {
+            let line = compile_line(
+                &format!("h{i}"),
+                &source(i),
+                r#","deadline_ms":8000,"options":{"solver":"dpll","engine":"auto"}"#,
+            );
+            let release = Arc::clone(&release);
+            std::thread::spawn(move || {
+                let mut sock = TcpStream::connect(addr).unwrap();
+                release.wait();
+                sock.write_all(format!("{line}\n").as_bytes()).unwrap();
+                let mut response = String::new();
+                BufReader::new(sock).read_line(&mut response).unwrap();
+                response
+            })
+        })
+        .collect();
+    for client in clients {
+        let resp = client.join().unwrap();
+        let v = json::parse(resp.trim_end()).unwrap();
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"), "{resp}");
+        // Harvested answers are real verified programs, not degraded
+        // baselines — and the body says which engine produced them.
+        assert_eq!(v.get("degraded").and_then(Json::as_bool), Some(false));
+        assert_eq!(v.get("engine").and_then(Json::as_str), Some("stochastic"));
+        let gmas = v.get("gmas").and_then(Json::as_arr).unwrap();
+        assert_eq!(gmas.len(), 1);
+        let gma = &gmas[0];
+        // No optimality certificate — the chain cannot refute anything.
+        assert_eq!(
+            gma.get("refuted_below").and_then(Json::as_bool),
+            Some(false)
+        );
+        // Strictly cheaper than the 7-cycle greedy baseline (the fixed
+        // default seed finds 6; anything below 7 proves a real harvest).
+        let cycles = gma.get("cycles").and_then(Json::as_u64).unwrap();
+        assert!(cycles < 7, "harvest beat the baseline, got {cycles}");
+    }
 
-    // The stats surface records the harvest, and counts it as ok.
+    // The stats surface records both harvests, and counts them as ok.
     let stats = server.handle_line(r#"{"type":"stats","id":1}"#).unwrap();
     let sv = json::parse(&stats).unwrap();
     let stoke = sv.get("stoke").expect("v3 stats carry a stoke section");
     assert_eq!(
         stoke.get("harvests").and_then(Json::as_u64),
-        Some(1),
+        Some(2),
         "{stats}"
     );
-    assert_eq!(stoke.get("compiles").and_then(Json::as_u64), Some(1));
+    assert_eq!(stoke.get("compiles").and_then(Json::as_u64), Some(2));
     assert_eq!(
         sv.get("compiles")
             .and_then(|c| c.get("ok"))
             .and_then(Json::as_u64),
-        Some(1)
+        Some(2)
     );
+    // Distinct fixtures neither coalesce nor hit the cache.
+    assert_eq!(sv.get("executions").and_then(Json::as_u64), Some(2));
 
     // Harvested bodies are never cached: the chain's answer carries no
     // optimality ladder, so an unhurried request must compile afresh.
