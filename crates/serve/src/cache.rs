@@ -111,11 +111,6 @@ impl Cache {
         })
     }
 
-    /// Whether a disk tier is configured.
-    pub fn has_disk_tier(&self) -> bool {
-        self.dir.is_some()
-    }
-
     fn disk_path(&self, key: &str) -> Option<PathBuf> {
         // Keys are 32-char lowercase hex fingerprints; refuse anything
         // else so a key can never smuggle path components.
