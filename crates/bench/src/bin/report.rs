@@ -217,14 +217,14 @@ fn e2_saturation() {
 }
 
 /// E2m (not in the paper): arena/SoA storage footprint — bytes per
-/// e-graph node under the interned-slice arena versus the modeled
-/// owned-`ENode` layout, on the saturated benchmark fixtures. The same
-/// legs as the `egraph_mem` binary, which writes `BENCH_egraph.json`.
+/// e-graph node under the interned-slice arena, on the saturated
+/// benchmark fixtures. The same legs as the `egraph_mem` binary, which
+/// writes `BENCH_egraph.json`.
 fn e2_memory() {
     header(
         "E2m",
-        "e-graph memory footprint (arena/SoA vs owned nodes)",
-        "goal: >=2x fewer bytes per node with saturation wall time no worse",
+        "e-graph memory footprint (arena/SoA)",
+        "(not in the paper) payload bytes per node and child-slice sharing",
     );
     let aggregate = |name: &'static str, source: &str| {
         let denali = default_denali();
@@ -237,7 +237,6 @@ fn e2_memory() {
             mem.slice_entries += m.slice_entries;
             mem.slice_refs += m.slice_refs;
             mem.total_bytes += m.total_bytes;
-            mem.legacy_bytes += m.legacy_bytes;
         }
         (name, mem)
     };
@@ -263,15 +262,13 @@ fn e2_memory() {
         aggregate("byteswap5", programs::BYTESWAP5),
         aggregate("checksum", programs::CHECKSUM),
     ];
-    println!("    measured: leg         nodes  classes  bytes/node  legacy b/n  reduction  dedup");
+    println!("    measured: leg         nodes  classes  bytes/node  dedup");
     for (name, m) in &legs {
         println!(
-            "              {name:<10} {:>6} {:>8} {:>11.1} {:>11.1} {:>9.2}x {:>5.2}x",
+            "              {name:<10} {:>6} {:>8} {:>11.1} {:>5.2}x",
             m.nodes,
             m.classes,
             m.bytes_per_node(),
-            m.legacy_bytes_per_node(),
-            m.reduction(),
             m.dedup_ratio(),
         );
     }
