@@ -4,21 +4,22 @@
 //! so effectively from the rest of the code generator that we can easily
 //! substitute the current champion satisfiability solver". This module
 //! is that seam made explicit: [`SolverBackend`] captures the interface
-//! the search layer needs (incremental variable/clause creation,
-//! assumption solving, interrupts, model/failed-assumption extraction,
-//! work counters), and both engines in this crate implement it — the
-//! CDCL [`Solver`] natively, and the naive DPLL engine through the
-//! [`DpllSolver`] adapter. The code generator's live encoding
-//! (`denali_core::encode::IncrementalEncoding`) is generic over this
-//! trait, so every probe of a search, under either engine, goes through
-//! it. A conformance suite in `tests/backend_conformance.rs` runs the
-//! same scenarios against both.
+//! the search layer needs (incremental variable/clause creation through
+//! its [`ClauseSink`] supertrait, assumption solving, interrupts,
+//! model/failed-assumption extraction, work counters), and both engines
+//! in this crate implement it — the CDCL [`Solver`] natively, and the
+//! naive DPLL engine through the [`DpllSolver`] adapter. The code
+//! generator's live encoding (`denali_core::encode::IncrementalEncoding`)
+//! is generic over this trait, so every probe of a search, under either
+//! engine, goes through it. A conformance suite in
+//! `tests/backend_conformance.rs` runs the same scenarios against both.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use crate::dpll::{self, DpllResult};
 use crate::lit::{Lit, Var};
+use crate::sink::ClauseSink;
 use crate::solver::{SolveResult, Solver, SolverStats};
 
 /// The solving interface the search's probes are written against: the
@@ -36,13 +37,7 @@ use crate::solver::{SolveResult, Solver, SolverStats};
 ///   satisfies every added clause and assumption.
 /// - A raised interrupt flag turns an in-flight solve into
 ///   [`SolveResult::Interrupted`] and leaves the backend reusable.
-pub trait SolverBackend {
-    /// Creates a fresh variable.
-    fn new_var(&mut self) -> Var;
-    /// Ensures at least `n` variables exist.
-    fn reserve_vars(&mut self, n: usize);
-    /// Adds a clause over existing variables.
-    fn add_clause(&mut self, lits: &[Lit]);
+pub trait SolverBackend: ClauseSink {
     /// Solves the current clause set.
     fn solve(&mut self) -> SolveResult;
     /// Solves the current clause set under temporary assumptions.
@@ -59,18 +54,6 @@ pub trait SolverBackend {
 }
 
 impl SolverBackend for Solver {
-    fn new_var(&mut self) -> Var {
-        Solver::new_var(self)
-    }
-
-    fn reserve_vars(&mut self, n: usize) {
-        Solver::reserve_vars(self, n);
-    }
-
-    fn add_clause(&mut self, lits: &[Lit]) {
-        Solver::add_clause(self, lits.iter().copied());
-    }
-
     fn solve(&mut self) -> SolveResult {
         Solver::solve(self)
     }
@@ -123,17 +106,12 @@ impl DpllSolver {
     }
 }
 
-impl SolverBackend for DpllSolver {
+impl ClauseSink for DpllSolver {
     fn new_var(&mut self) -> Var {
         let var = Var::from_index(self.num_vars);
         self.num_vars += 1;
         self.stats.vars = self.num_vars as u64;
         var
-    }
-
-    fn reserve_vars(&mut self, n: usize) {
-        self.num_vars = self.num_vars.max(n);
-        self.stats.vars = self.num_vars as u64;
     }
 
     fn add_clause(&mut self, lits: &[Lit]) {
@@ -146,7 +124,9 @@ impl SolverBackend for DpllSolver {
         self.clauses.push(lits.to_vec());
         self.stats.clauses += 1;
     }
+}
 
+impl SolverBackend for DpllSolver {
     fn solve(&mut self) -> SolveResult {
         self.solve_under(&[])
     }

@@ -13,7 +13,9 @@ use crate::lit::{Lit, Var};
 use crate::solver::Solver;
 
 /// A formula under construction: fresh variables, numbered densely from
-/// zero, and clauses over them.
+/// zero, and clauses over them. Every [`SolverBackend`] is one.
+///
+/// [`SolverBackend`]: crate::SolverBackend
 pub trait ClauseSink {
     /// Creates a fresh variable.
     fn new_var(&mut self) -> Var;

@@ -87,20 +87,6 @@ fn pigeonhole_is_unsat() {
 }
 
 #[test]
-fn reserve_vars_creates_addressable_variables() {
-    for_each_backend(|s, name| {
-        s.reserve_vars(5);
-        assert_eq!(s.stats().vars, 5, "{name}");
-        // All five are usable in clauses; reserving fewer is a no-op.
-        s.reserve_vars(2);
-        assert_eq!(s.stats().vars, 5, "{name}");
-        s.add_clause(&[Lit::pos(Var::from_index(4))]);
-        assert_eq!(s.solve(), SolveResult::Sat, "{name}");
-        assert_eq!(s.model_value(Var::from_index(4)), Some(true), "{name}");
-    });
-}
-
-#[test]
 fn solve_under_honors_assumptions_and_is_temporary() {
     for_each_backend(|s, name| {
         let v = vars(s, 3);
@@ -188,7 +174,7 @@ fn backends_agree_on_random_instances() {
             .collect();
         let mut verdicts = Vec::new();
         for_each_backend(|s, name| {
-            s.reserve_vars(n);
+            vars(s, n);
             for c in &clauses {
                 s.add_clause(c);
             }
