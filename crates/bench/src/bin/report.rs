@@ -619,7 +619,14 @@ fn e7s_stochastic() {
         "    {:<20} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9}",
         "gma", "baseline", "best", "proposals", "accepted", "restarts", "improved"
     );
-    for source in [programs::FIGURE2, programs::BYTESWAP4, programs::BYTESWAP5] {
+    for source in [
+        programs::FIGURE2,
+        programs::BYTESWAP4,
+        programs::BYTESWAP5,
+        programs::DOT4,
+        programs::WIDE,
+        programs::SEL,
+    ] {
         for run in denali.stoke_profile(source).expect("chain profiles") {
             println!(
                 "    {:<20} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9}",

@@ -37,6 +37,9 @@ fn main() {
         ("figure2", programs::FIGURE2),
         ("byteswap4", programs::BYTESWAP4),
         ("byteswap5", programs::BYTESWAP5),
+        ("dot4", programs::DOT4),
+        ("wide", programs::WIDE),
+        ("sel", programs::SEL),
     ];
 
     let mut json = String::from("{\"schema\":\"denali-stoke-bench-v1\",\"fixtures\":[");
