@@ -616,8 +616,16 @@ fn e7s_stochastic() {
     );
     let denali = default_denali();
     println!(
-        "    {:<20} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9}",
-        "gma", "baseline", "best", "proposals", "accepted", "restarts", "improved"
+        "    {:<20} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "gma",
+        "baseline",
+        "best",
+        "proposals",
+        "accepted",
+        "restarts",
+        "verified",
+        "widened",
+        "improved"
     );
     for source in [
         programs::FIGURE2,
@@ -629,13 +637,15 @@ fn e7s_stochastic() {
     ] {
         for run in denali.stoke_profile(source).expect("chain profiles") {
             println!(
-                "    {:<20} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9}",
+                "    {:<20} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}",
                 run.gma,
                 run.baseline_cycles,
                 run.best_cycles,
                 run.proposals,
                 run.accepted,
                 run.restarts,
+                run.verifications,
+                run.widenings,
                 run.improved,
             );
         }

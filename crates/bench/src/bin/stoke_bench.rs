@@ -1,7 +1,8 @@
 //! Stochastic-engine bench: runs the MCMC chain on the simulator-
 //! supported fixtures at the fixed default seed and records, per GMA,
-//! the baseline and best verified cycle counts plus the full best-cost
-//! trajectory (proposal index, cycles). The chain is a pure function of
+//! the baseline and best verified cycle counts, the chain's proposal,
+//! accept, restart, verification and widening counts, and the full
+//! best-cost trajectory (proposal index, cycles). The chain is a pure function of
 //! (machine, sketch, rules, seed), so the output is byte-deterministic
 //! across runs — CI validates the committed `BENCH_stoke.json` against
 //! a fresh run.
@@ -42,25 +43,35 @@ fn main() {
         ("sel", programs::SEL),
     ];
 
-    let mut json = String::from("{\"schema\":\"denali-stoke-bench-v1\",\"fixtures\":[");
+    let mut json = String::from("{\"schema\":\"denali-stoke-bench-v2\",\"fixtures\":[");
     let mut improved_any = false;
     let mut first = true;
     println!(
-        "{:<12} {:<20} {:>8} {:>6} {:>10} {:>9} {:>9}",
-        "fixture", "gma", "baseline", "best", "proposals", "accepted", "improved"
+        "{:<12} {:<20} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9} {:>9}",
+        "fixture",
+        "gma",
+        "baseline",
+        "best",
+        "proposals",
+        "accepted",
+        "verified",
+        "widened",
+        "improved"
     );
     for (name, source) in fixtures {
         let runs = denali.stoke_profile(source).expect("fixture profiles");
         assert!(!runs.is_empty(), "{name}: no simulator-supported GMA");
         for run in runs {
             println!(
-                "{:<12} {:<20} {:>8} {:>6} {:>10} {:>9} {:>9}",
+                "{:<12} {:<20} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9} {:>9}",
                 name,
                 run.gma,
                 run.baseline_cycles,
                 run.best_cycles,
                 run.proposals,
                 run.accepted,
+                run.verifications,
+                run.widenings,
                 run.improved,
             );
             assert!(
@@ -78,7 +89,7 @@ fn main() {
                     "{{\"fixture\":\"{}\",\"gma\":\"{}\",",
                     "\"baseline_cycles\":{},\"best_cycles\":{},\"improved\":{},",
                     "\"proposals\":{},\"accepted\":{},\"restarts\":{},",
-                    "\"trajectory\":["
+                    "\"verifications\":{},\"widenings\":{},\"trajectory\":["
                 ),
                 name,
                 run.gma,
@@ -88,6 +99,8 @@ fn main() {
                 run.proposals,
                 run.accepted,
                 run.restarts,
+                run.verifications,
+                run.widenings,
             ));
             for (i, (proposal, cycles)) in run.trajectory.iter().enumerate() {
                 if i > 0 {

@@ -739,6 +739,8 @@ impl Denali {
                 proposals: outcome.proposals,
                 accepted: outcome.accepted,
                 restarts: outcome.restarts,
+                verifications: outcome.verifications,
+                widenings: outcome.widenings,
                 trajectory: outcome.trajectory,
             });
         }
@@ -763,6 +765,10 @@ pub struct StokeRun {
     pub accepted: u64,
     /// Chain restarts.
     pub restarts: u64,
+    /// Candidates sent through simulator verification.
+    pub verifications: u64,
+    /// Counterexample vectors widened into the test set.
+    pub widenings: u64,
     /// Verified best-cost trajectory: (proposal index, cycles).
     pub trajectory: Vec<(u64, u32)>,
 }
