@@ -29,6 +29,7 @@
 
 use std::collections::HashSet;
 use std::ops::ControlFlow;
+use std::time::{Duration, Instant};
 
 use denali_egraph::{
     candidates, ematch_classes_with, pattern_depth, ClassId, Delta, EGraph, EGraphError, EqLiteral,
@@ -290,6 +291,7 @@ fn saturate_phase(
             ],
         );
         let ops_before = egraph.op_counts();
+        let mut rebuild_time = Duration::ZERO;
         let mut any_change = false;
 
         if full_round {
@@ -340,7 +342,7 @@ fn saturate_phase(
                     any_change = true;
                 }
             }
-            egraph.rebuild()?;
+            timed_rebuild(egraph, &mut rebuild_time)?;
         }
 
         // Changes made by the pow2 step itself. In a full round only the
@@ -382,11 +384,11 @@ fn saturate_phase(
         if stats.instances > 0 {
             any_change = true;
         }
-        egraph.rebuild()?;
+        timed_rebuild(egraph, &mut rebuild_time)?;
 
         report.scanned_candidates += stats.scanned;
         report.skipped_candidates += stats.skipped;
-        emit_egraph_stats(egraph, ops_before, tracer);
+        emit_egraph_stats(egraph, ops_before, rebuild_time, tracer);
         stats.ms = round_span.finish_fields(vec![
             field("scanned", stats.scanned),
             field("skipped", stats.skipped),
@@ -435,10 +437,11 @@ fn saturate_phase(
                 );
                 vstats.instances = vinstances.len();
                 apply_instances(egraph, axioms, std::mem::take(&mut vinstances), &mut report)?;
-                egraph.rebuild()?;
+                let mut vrebuild_time = Duration::ZERO;
+                timed_rebuild(egraph, &mut vrebuild_time)?;
                 report.scanned_candidates += vstats.scanned;
                 report.skipped_candidates += vstats.skipped;
-                emit_egraph_stats(egraph, vops_before, tracer);
+                emit_egraph_stats(egraph, vops_before, vrebuild_time, tracer);
                 vstats.ms = verify_span.finish_fields(vec![
                     field("scanned", vstats.scanned),
                     field("skipped", vstats.skipped),
@@ -474,9 +477,23 @@ fn saturate_phase(
     Ok(report)
 }
 
+/// Runs [`EGraph::rebuild`] and adds its wall time to `spent`.
+fn timed_rebuild(egraph: &mut EGraph, spent: &mut Duration) -> Result<(), EGraphError> {
+    let start = Instant::now();
+    let result = egraph.rebuild();
+    *spent += start.elapsed();
+    result
+}
+
 /// Emits the per-round `egraph.stats` event: what the e-graph did since
-/// `before` (deltas) plus its current size (gauges).
-fn emit_egraph_stats(egraph: &EGraph, before: denali_egraph::OpCounts, tracer: &Tracer) {
+/// `before` (deltas) and how long the round's rebuilds took, plus its
+/// current size (gauges).
+fn emit_egraph_stats(
+    egraph: &EGraph,
+    before: denali_egraph::OpCounts,
+    rebuild_time: Duration,
+    tracer: &Tracer,
+) {
     tracer.event("egraph.stats", || {
         let d = egraph.op_counts().since(before);
         let mem = egraph.memory_stats();
@@ -488,6 +505,9 @@ fn emit_egraph_stats(egraph: &EGraph, before: denali_egraph::OpCounts, tracer: &
             field("congruence_unions", d.congruence_unions),
             field("folds", d.folds),
             field("rebuilds", d.rebuilds),
+            field("walks", d.walks),
+            field("walked_parents", d.walked_parents),
+            field("rebuild_us", rebuild_time.as_micros() as u64),
             field("nodes", egraph.num_nodes()),
             field("classes", egraph.num_classes()),
             // Memory gauges for the arena/SoA storage: payload bytes,
@@ -551,7 +571,7 @@ fn match_and_replay(
         stats.scanned += cands.len();
         axiom_scanned[axiom_idx] += cands.len() as u64;
 
-        let match_start = std::time::Instant::now();
+        let match_start = Instant::now();
         let axiom = &axioms[axiom_idx];
         let body_vars = &body_vars[axiom_idx];
         let structural = axiom.priority == AxiomPriority::Structural;

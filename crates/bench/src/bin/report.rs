@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use denali_arch::Machine;
 use denali_axioms::{alpha_axioms, math_axioms, saturate, SaturationLimits};
 use denali_baseline::{brute_search, rewrite_compile, BruteConfig};
-use denali_bench::{compile_checked, default_denali, programs};
+use denali_bench::{compile_checked, default_denali, egraph_legs, programs};
 use denali_core::encode::{encode, Rules};
 use denali_core::machine_terms::enumerate_with_misses;
 use denali_core::matcher::match_gma;
@@ -224,52 +224,24 @@ fn e2_memory() {
     header(
         "E2m",
         "e-graph memory footprint (arena/SoA)",
-        "(not in the paper) payload bytes per node and child-slice sharing",
+        "(not in the paper) payload bytes per node, child-slice sharing and repair walks",
     );
-    let aggregate = |name: &'static str, source: &str| {
-        let denali = default_denali();
-        let result = denali.compile_source(source).expect("fixture compiles");
-        let mut mem = denali_egraph::MemoryStats::default();
-        for gma in &result.gmas {
-            let m = gma.egraph_memory;
-            mem.nodes += m.nodes;
-            mem.classes += m.classes;
-            mem.slice_entries += m.slice_entries;
-            mem.slice_refs += m.slice_refs;
-            mem.total_bytes += m.total_bytes;
-        }
-        (name, mem)
-    };
-    let chain = {
-        let term = Term::from_sexpr(
-            &denali_term::sexpr::parse_one("(add64 a (add64 b (add64 c (add64 d e))))").unwrap(),
-            &[],
-        )
-        .unwrap();
-        let limits = SaturationLimits {
-            max_iterations: 24,
-            ..SaturationLimits::default()
-        };
-        let mut eg = EGraph::new();
-        eg.add_term(&term).unwrap();
-        saturate(&mut eg, &math_axioms(), &limits).unwrap();
-        ("e2_chain", eg.memory_stats())
-    };
-    let legs = [
-        chain,
-        aggregate("figure2", programs::FIGURE2),
-        aggregate("byteswap4", programs::BYTESWAP4),
-        aggregate("byteswap5", programs::BYTESWAP5),
-        aggregate("checksum", programs::CHECKSUM),
-    ];
-    println!("    measured: leg         nodes  classes  bytes/node  dedup");
-    for (name, m) in &legs {
+    println!(
+        "    measured: leg         nodes  classes  bytes/node  dedup  table KB  unions  walks   walked"
+    );
+    for leg in egraph_legs() {
+        let (m, c) = (&leg.mem, &leg.counts);
         println!(
-            "              {name:<10} {:>6} {:>8} {:>11.1} {:>5.2}x",
+            "              {:<10} {:>6} {:>8} {:>11.1} {:>5.2}x {:>9.1} {:>7} {:>6} {:>8}",
+            leg.name,
             m.nodes,
             m.classes,
             m.bytes_per_node(),
             m.dedup_ratio(),
+            m.class_table_bytes as f64 / 1e3,
+            c.unions,
+            c.walks,
+            c.walked_parents,
         );
     }
     println!();

@@ -164,11 +164,14 @@ pub mod programs {
 }
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use denali_arch::Simulator;
+use denali_axioms::{math_axioms, saturate, SaturationLimits};
 use denali_core::{CompileResult, CompiledGma, Denali, Options};
+use denali_egraph::{EGraph, MemoryStats, OpCounts};
 use denali_term::value::Env;
-use denali_term::Symbol;
+use denali_term::{sexpr, Symbol, Term};
 
 /// Compiles a fixture and differentially validates every GMA of it by
 /// simulation against the reference semantics on the given inputs.
@@ -273,6 +276,107 @@ pub fn check_compiled(
 /// Default pipeline used by the experiment binaries.
 pub fn default_denali() -> Denali {
     Denali::new(Options::default())
+}
+
+/// One leg of E2m (`egraph_mem`, `report e2m`): a saturated e-graph,
+/// summed over the GMAs of a multi-GMA fixture like checksum.
+pub struct EgraphLeg {
+    /// The leg's name (`e2_chain` or the fixture's).
+    pub name: &'static str,
+    /// Memory accounting of the saturated e-graph.
+    pub mem: MemoryStats,
+    /// Operation counters of the saturated e-graph.
+    pub counts: OpCounts,
+    /// Wall milliseconds of the matching phase.
+    pub wall_ms: f64,
+}
+
+/// The E2m legs, in report order: the e2 saturation workhorse, then
+/// figure2, byteswap4, byteswap5 and checksum through the default
+/// pipeline.
+pub fn egraph_legs() -> Vec<EgraphLeg> {
+    vec![
+        chain_leg(),
+        compile_leg("figure2", programs::FIGURE2),
+        compile_leg("byteswap4", programs::BYTESWAP4),
+        compile_leg("byteswap5", programs::BYTESWAP5),
+        compile_leg("checksum", programs::CHECKSUM),
+    ]
+}
+
+/// Compiles a fixture and sums the saturated e-graph stats over its
+/// GMAs.
+fn compile_leg(name: &'static str, source: &str) -> EgraphLeg {
+    let result = default_denali()
+        .compile_source(source)
+        .expect("fixture compiles");
+    let mut leg = EgraphLeg {
+        name,
+        mem: MemoryStats::default(),
+        counts: OpCounts::default(),
+        wall_ms: 0.0,
+    };
+    for gma in &result.gmas {
+        leg.mem = add_memory(leg.mem, gma.egraph_memory);
+        leg.counts = add_counts(leg.counts, gma.egraph_counts);
+        leg.wall_ms += gma.match_ms;
+    }
+    leg
+}
+
+/// The e2 saturation workhorse (a+b+c+d+e under the math axioms),
+/// measured directly at the e-graph level: the wall time here is
+/// comparable to `report e2s`.
+fn chain_leg() -> EgraphLeg {
+    let term = Term::from_sexpr(
+        &sexpr::parse_one("(add64 a (add64 b (add64 c (add64 d e))))").unwrap(),
+        &[],
+    )
+    .unwrap();
+    let limits = SaturationLimits {
+        max_iterations: 24,
+        ..SaturationLimits::default()
+    };
+    let mut eg = EGraph::new();
+    eg.add_term(&term).unwrap();
+    let start = Instant::now();
+    saturate(&mut eg, &math_axioms(), &limits).unwrap();
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    EgraphLeg {
+        name: "e2_chain",
+        mem: eg.memory_stats(),
+        counts: eg.op_counts(),
+        wall_ms,
+    }
+}
+
+fn add_memory(a: MemoryStats, b: MemoryStats) -> MemoryStats {
+    MemoryStats {
+        nodes: a.nodes + b.nodes,
+        classes: a.classes + b.classes,
+        arena_bytes: a.arena_bytes + b.arena_bytes,
+        slice_bytes: a.slice_bytes + b.slice_bytes,
+        slice_entries: a.slice_entries + b.slice_entries,
+        slice_refs: a.slice_refs + b.slice_refs,
+        class_bytes: a.class_bytes + b.class_bytes,
+        memo_bytes: a.memo_bytes + b.memo_bytes,
+        total_bytes: a.total_bytes + b.total_bytes,
+        class_table_bytes: a.class_table_bytes + b.class_table_bytes,
+    }
+}
+
+fn add_counts(a: OpCounts, b: OpCounts) -> OpCounts {
+    OpCounts {
+        adds: a.adds + b.adds,
+        hits: a.hits + b.hits,
+        new_nodes: a.new_nodes + b.new_nodes,
+        unions: a.unions + b.unions,
+        congruence_unions: a.congruence_unions + b.congruence_unions,
+        folds: a.folds + b.folds,
+        rebuilds: a.rebuilds + b.rebuilds,
+        walks: a.walks + b.walks,
+        walked_parents: a.walked_parents + b.walked_parents,
+    }
 }
 
 #[cfg(test)]

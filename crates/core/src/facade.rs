@@ -139,6 +139,10 @@ pub struct CompiledGma {
     /// Diagnostic only: not part of the fingerprint or the response
     /// payload, but aggregated into the serve `stats` gauges.
     pub egraph_memory: denali_egraph::MemoryStats,
+    /// The saturated e-graph's operation counters (nodes added, unions,
+    /// congruence-repair walks), read with `egraph_memory`. Diagnostic
+    /// only, like `egraph_memory`.
+    pub egraph_counts: denali_egraph::OpCounts,
     /// Which engine produced `program`: [`EngineChoice::Sat`] (probes
     /// carry the optimality ladder) or [`EngineChoice::Stochastic`]
     /// (no optimality claim; `refuted_below` is always false). `Auto`
@@ -490,6 +494,7 @@ impl Denali {
             metrics.round_us.observe_ms(round.ms);
         }
         let egraph_memory = matched.egraph.memory_stats();
+        let egraph_counts = matched.egraph.op_counts();
         // Phase boundary: a deadline raised during matching stops here
         // rather than entering enumeration (saturation itself is
         // bounded by its budgets, so this check is reached promptly).
@@ -501,7 +506,14 @@ impl Denali {
         // so a deadline-cancelled SAT compile still leaves verified
         // candidates in the anytime slot.
         if self.options.engine == EngineChoice::Stochastic {
-            return self.compile_gma_stochastic(gma, &matched, egraph_memory, match_ms, gma_span);
+            return self.compile_gma_stochastic(
+                gma,
+                &matched,
+                egraph_memory,
+                egraph_counts,
+                match_ms,
+                gma_span,
+            );
         }
         if self.options.engine == EngineChoice::Auto && self.options.anytime.is_some() {
             if let Ok(baseline) = denali_baseline::rewrite_compile(&gma, &self.options.machine) {
@@ -586,6 +598,7 @@ impl Denali {
                     gma,
                     &matched,
                     egraph_memory,
+                    egraph_counts,
                     match_ms,
                     gma_span,
                 );
@@ -620,6 +633,7 @@ impl Denali {
             match_ms,
             search_ms,
             egraph_memory,
+            egraph_counts,
             engine: EngineChoice::Sat,
         })
     }
@@ -633,6 +647,7 @@ impl Denali {
         gma: Gma,
         matched: &crate::matcher::Matched,
         egraph_memory: denali_egraph::MemoryStats,
+        egraph_counts: denali_egraph::OpCounts,
         match_ms: f64,
         gma_span: denali_trace::Span,
     ) -> Result<CompiledGma, CompileError> {
@@ -688,6 +703,7 @@ impl Denali {
             match_ms,
             search_ms,
             egraph_memory,
+            egraph_counts,
             engine: EngineChoice::Stochastic,
         })
     }

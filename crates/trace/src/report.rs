@@ -161,6 +161,14 @@ fn phases_under(records: &[Record], spans: &HashMap<u64, ClosedSpan>, roots: &[u
     out
 }
 
+/// What a saturation round's events say about its work.
+#[derive(Clone, Copy, Default)]
+struct RoundWork {
+    ematch_us: u64,
+    rebuild_us: u64,
+    walks: u64,
+}
+
 struct AxiomRow {
     name: String,
     rounds: u64,
@@ -198,10 +206,11 @@ pub fn render(records: &[Record]) -> String {
         })
         .collect();
     if !rounds.is_empty() {
-        // A round's e-matching time: its `ematch.chunk` events'
-        // `match_us`, summed over the round's patterns (a part of the
-        // round's wall time).
-        let mut ematch_us: HashMap<u64, u64> = HashMap::new();
+        // Parts of a round's wall time: its e-matching time (the
+        // `ematch.chunk` events' `match_us`, summed over the round's
+        // patterns) and its rebuild time and congruence-repair walks
+        // (its `egraph.stats` event's `rebuild_us` and `walks`).
+        let mut work: HashMap<u64, RoundWork> = HashMap::new();
         for r in records {
             if let Record::Event {
                 span: Some(span),
@@ -210,27 +219,44 @@ pub fn render(records: &[Record]) -> String {
                 ..
             } = r
             {
-                if name == "ematch.chunk" {
-                    *ematch_us.entry(*span).or_insert(0) += get_u64(fields, "match_us");
-                }
+                let (ematch_us, rebuild_us, walks) = match name.as_str() {
+                    "ematch.chunk" => (get_u64(fields, "match_us"), 0, 0),
+                    "egraph.stats" => (0, get_u64(fields, "rebuild_us"), get_u64(fields, "walks")),
+                    _ => continue,
+                };
+                let row = work.entry(*span).or_default();
+                row.ematch_us += ematch_us;
+                row.rebuild_us += rebuild_us;
+                row.walks += walks;
             }
         }
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9} {:>9}",
-            "round", "phase", "scanned", "skipped", "instances", "ematch_ms", "ms"
+            "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9} {:>10} {:>6} {:>9}",
+            "round",
+            "phase",
+            "scanned",
+            "skipped",
+            "instances",
+            "ematch_ms",
+            "rebuild_ms",
+            "walks",
+            "ms"
         );
         for (id, span) in rounds {
+            let w = work.get(&id).copied().unwrap_or_default();
             let _ = writeln!(
                 out,
-                "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9.2} {:>9.2}",
+                "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9.2} {:>10.2} {:>6} {:>9.2}",
                 get_u64(&span.fields, "round"),
                 get_u64(&span.fields, "phase"),
                 get_u64(&span.fields, "scanned"),
                 get_u64(&span.fields, "skipped"),
                 get_u64(&span.fields, "instances"),
-                ematch_us.get(&id).copied().unwrap_or(0) as f64 / 1e3,
+                w.ematch_us as f64 / 1e3,
+                w.rebuild_us as f64 / 1e3,
+                w.walks,
                 span.dur_us as f64 / 1e3,
             );
         }
@@ -500,20 +526,46 @@ mod tests {
         // A chunk outside any round is not attributed to one.
         chunk(9000);
         let text = render(&t.records());
-        let header = text.lines().find(|l| l.starts_with("round")).unwrap();
-        let column = header
-            .split_whitespace()
-            .position(|c| c == "ematch_ms")
-            .expect("ematch_ms column");
-        let ematch_ms = |round: &str| -> String {
-            let row = text
-                .lines()
-                .find(|l| l.split_whitespace().next() == Some(round))
-                .unwrap();
-            row.split_whitespace().nth(column).unwrap().to_owned()
+        assert_eq!(round_cell(&text, "1", "ematch_ms"), "4.00", "got:\n{text}");
+        assert_eq!(round_cell(&text, "2", "ematch_ms"), "0.25", "got:\n{text}");
+    }
+
+    #[test]
+    fn rounds_table_reads_each_rounds_rebuild_time_and_walks() {
+        let t = Tracer::new();
+        let stats = |us: u64, walks: u64| {
+            t.event("egraph.stats", || {
+                vec![field("walks", walks), field("rebuild_us", us)]
+            })
         };
-        assert_eq!(ematch_ms("1"), "4.00", "got:\n{text}");
-        assert_eq!(ematch_ms("2"), "0.25", "got:\n{text}");
+        for (round, us, walks) in [(1u64, 1250u64, 7u64), (2, 40, 0)] {
+            let span = t.span_fields("saturate.round", vec![field("round", round)]);
+            t.event("ematch.chunk", || vec![field("match_us", 500u64)]);
+            stats(us, walks);
+            span.finish();
+        }
+        // Stats outside any round are not attributed to one.
+        stats(9000, 99);
+        let text = render(&t.records());
+        let cells = |round| {
+            ["ematch_ms", "rebuild_ms", "walks"].map(|column| round_cell(&text, round, column))
+        };
+        assert_eq!(cells("1"), ["0.50", "1.25", "7"], "got:\n{text}");
+        assert_eq!(cells("2"), ["0.50", "0.04", "0"], "got:\n{text}");
+    }
+
+    /// The cell of the rounds table in `round`'s row and `column`.
+    fn round_cell(text: &str, round: &str, column: &str) -> String {
+        let header = text.lines().find(|l| l.starts_with("round")).unwrap();
+        let index = header
+            .split_whitespace()
+            .position(|c| c == column)
+            .unwrap_or_else(|| panic!("no {column} column"));
+        let row = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(round))
+            .unwrap();
+        row.split_whitespace().nth(index).unwrap().to_owned()
     }
 
     #[test]
