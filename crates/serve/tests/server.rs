@@ -308,36 +308,43 @@ fn expired_deadline_under_auto_engine_harvests_the_stochastic_best() {
 
 #[test]
 fn class_budget_exhaustion_is_a_clean_match_error_not_a_panic() {
-    // A class budget smaller than the goal terms themselves must come
-    // back as a structured "match"-stage error — not a worker panic
-    // masquerading as an internal error.
-    let mut base = fast_options();
-    base.saturation.max_classes = 2;
-    let server = Server::new(ServerConfig {
-        base,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let resp = server
-        .handle_line(&compile_line("tiny", SOURCE, ""))
+    // A class budget smaller than the goal terms themselves (2), or one
+    // that runs out while the pow2 step adds `pow(2, 2)` beside the
+    // constant 4 (5), must come back as a structured "match"-stage
+    // error — not a worker panic masquerading as an internal error.
+    for max_classes in [2, 5] {
+        let mut base = fast_options();
+        base.saturation.max_classes = max_classes;
+        let server = Server::new(ServerConfig {
+            base,
+            ..ServerConfig::default()
+        })
         .unwrap();
-    let v = json::parse(&resp).unwrap();
-    assert_eq!(v.get("status").and_then(Json::as_str), Some("error"));
-    let error = v.get("error").unwrap();
-    assert_eq!(error.get("stage").and_then(Json::as_str), Some("match"));
-    let message = error.get("message").and_then(Json::as_str).unwrap();
-    assert!(message.contains("class budget"), "message: {message}");
+        let resp = server
+            .handle_line(&compile_line("tiny", SOURCE, ""))
+            .unwrap();
+        let v = json::parse(&resp).unwrap();
+        assert_eq!(
+            v.get("status").and_then(Json::as_str),
+            Some("error"),
+            "max_classes {max_classes}: {resp}"
+        );
+        let error = v.get("error").unwrap();
+        assert_eq!(error.get("stage").and_then(Json::as_str), Some("match"));
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("class budget"), "message: {message}");
 
-    // The worker survived and panicked zero times.
-    let stats = server.handle_line(r#"{"type":"stats","id":1}"#).unwrap();
-    let v = json::parse(&stats).unwrap();
-    assert_eq!(v.get("worker_panics").and_then(Json::as_u64), Some(0));
-    assert_eq!(
-        v.get("compiles")
-            .and_then(|c| c.get("error"))
-            .and_then(Json::as_u64),
-        Some(1)
-    );
+        // The worker survived and panicked zero times.
+        let stats = server.handle_line(r#"{"type":"stats","id":1}"#).unwrap();
+        let v = json::parse(&stats).unwrap();
+        assert_eq!(v.get("worker_panics").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            v.get("compiles")
+                .and_then(|c| c.get("error"))
+                .and_then(Json::as_u64),
+            Some(1)
+        );
+    }
 }
 
 #[test]
