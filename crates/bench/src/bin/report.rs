@@ -32,9 +32,6 @@ fn main() {
     if want("e2") {
         e2_ac_ways();
     }
-    if want("e2s") {
-        e2_saturation();
-    }
     if want("e2m") {
         e2_memory();
     }
@@ -156,63 +153,6 @@ fn e2_ac_ways() {
         report.nodes,
         report.classes,
         t.elapsed()
-    );
-}
-
-/// E2s: delta-driven e-matching — per-round matched-vs-skipped
-/// candidates and wall time, full versus delta, on the AC workhorse.
-fn e2_saturation() {
-    header(
-        "E2s",
-        "Delta-driven saturation rounds",
-        "identical instances; post-first-scan rounds re-match only the dirty cone",
-    );
-    let term = Term::from_sexpr(
-        &denali_term::sexpr::parse_one("(add64 a (add64 b (add64 c (add64 d e))))").unwrap(),
-        &[],
-    )
-    .unwrap();
-    let run = |delta: bool| {
-        let mut eg = EGraph::new();
-        eg.add_term(&term).unwrap();
-        let limits = SaturationLimits {
-            max_iterations: 24,
-            delta_match: delta,
-            ..SaturationLimits::default()
-        };
-        let t = Instant::now();
-        let report = saturate(&mut eg, &math_axioms(), &limits).unwrap();
-        (report, t.elapsed())
-    };
-    let (full, full_t) = run(false);
-    let (delta, delta_t) = run(true);
-    println!("    measured: round  mode    scanned  skipped  instances      ms");
-    for (i, r) in delta.rounds.iter().enumerate() {
-        let mode = if r.verification {
-            "verify"
-        } else if r.full {
-            "full"
-        } else {
-            "delta"
-        };
-        println!(
-            "              {i:>5}  {mode:<6}  {:>7}  {:>7}  {:>9}  {:>6.1}",
-            r.scanned, r.skipped, r.instances, r.ms
-        );
-    }
-    println!(
-        "              full:  {} candidates scanned, {} instances, {:?}",
-        full.scanned_candidates, full.instances, full_t
-    );
-    println!(
-        "              delta: {} scanned + {} skipped, {} instances, {:?}",
-        delta.scanned_candidates, delta.skipped_candidates, delta.instances, delta_t
-    );
-    println!(
-        "              identical results: {}\n",
-        full.instances == delta.instances
-            && full.nodes == delta.nodes
-            && full.classes == delta.classes
     );
 }
 

@@ -4,8 +4,8 @@
 //! determines a compilation's *output*: the lowered GMAs, the full
 //! axiom set, and the output-affecting subset of [`Options`]. Knobs
 //! that only change wall-clock or observability — `trace`,
-//! `dump_dimacs`, `saturation.delta_match`, and the cancellation token
-//! — are deliberately excluded, as are the no-op hints `threads`,
+//! `dump_dimacs` and the cancellation token — are deliberately
+//! excluded, as are the no-op hints `threads`,
 //! `incremental` and `portfolio`: the pipeline's determinism contract
 //! guarantees byte-identical results across all of them, so requests
 //! differing only in those knobs may share one cached result.
@@ -95,8 +95,7 @@ pub fn fingerprint(gmas: &[Gma], axioms: &[Axiom], options: &Options) -> String 
         "speculate_loads",
         &options.encode.speculate_loads.to_string(),
     );
-    // Saturation budgets shape the e-graph and therefore the output;
-    // `delta_match` is a result-identical knob and stays out of the key.
+    // Saturation budgets shape the e-graph and therefore the output.
     let s = &options.saturation;
     fp.field("sat.max_iterations", &s.max_iterations.to_string());
     fp.field("sat.max_nodes", &s.max_nodes.to_string());
@@ -226,7 +225,6 @@ mod tests {
         other.incremental = !base.incremental;
         other.trace = true;
         other.dump_dimacs = Some(std::path::PathBuf::from("/tmp/nowhere"));
-        other.saturation.delta_match = !base.saturation.delta_match;
         // Stochastic effort knobs are environment-pinned, not
         // request-visible; they stay out of the key.
         other.stoke.seed = base.stoke.seed.wrapping_add(1);

@@ -254,35 +254,6 @@ struct EClass {
     walked_at: u64,
 }
 
-/// The changes recorded since the last [`EGraph::take_delta`]: which
-/// classes were touched (created, merged, given new nodes, or folded to
-/// a constant) and which constant values first appeared.
-///
-/// The class list may contain stale (merged-away) ids and duplicates;
-/// consumers canonicalize through [`EGraph::find`] — usually via
-/// [`EGraph::dirty_cone`], which also propagates dirtiness upward
-/// through the parent index.
-#[derive(Clone, Default, Debug)]
-pub struct Delta {
-    /// Ids of classes touched since the last drain (possibly stale).
-    pub classes: Vec<ClassId>,
-    /// Constant values that were first registered since the last drain.
-    pub constants: Vec<u64>,
-}
-
-impl Delta {
-    /// True if nothing was journaled.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty() && self.constants.is_empty()
-    }
-
-    /// Folds another delta into this one (preserving event order).
-    pub fn absorb(&mut self, other: Delta) {
-        self.classes.extend(other.classes);
-        self.constants.extend(other.constants);
-    }
-}
-
 /// Monotone counters over the e-graph's mutating operations, for
 /// observability: how much work saturation actually did, round by
 /// round. Snapshot with [`EGraph::op_counts`] and subtract snapshots
@@ -414,15 +385,12 @@ pub struct EGraph {
     /// Operator index: symbol → classes that (at insertion time) held a
     /// node with that head. Entries may be stale; readers canonicalize.
     op_index: SeededMap<Symbol, Vec<ClassId>>,
-    /// Monotone mutation counter: bumped on every journaled change, so
-    /// readers can cheaply detect "something happened since I looked".
-    /// Congruence repair's skip (`EClass::walked_at`) relies on it: a
-    /// change that can give a repair walk work must move it.
+    /// Monotone mutation counter: bumped when a class is created, two
+    /// classes merge or a class folds to a constant, so readers can
+    /// cheaply detect "something happened since I looked". Congruence
+    /// repair's skip (`EClass::walked_at`) relies on it: a change that
+    /// can give a repair walk work must move it.
     generation: u64,
-    /// Change journal since the last [`EGraph::take_delta`] (always on;
-    /// the cost is one `Vec` push per mutation, proportional to work
-    /// already being done).
-    journal: Delta,
     /// Operation counters (always on; a few integer bumps per op).
     counts: OpCounts,
     /// True while [`EGraph::rebuild`] runs, so unions performed during
@@ -467,8 +435,8 @@ impl EGraph {
     }
 
     /// The mutation generation: a monotone counter bumped on every
-    /// journaled change (class created, classes merged, constant
-    /// folded). Equal generations imply the e-graph has not changed.
+    /// change (class created, classes merged, constant folded). Equal
+    /// generations imply the e-graph has not changed.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -476,19 +444,6 @@ impl EGraph {
     /// Snapshot of the operation counters (see [`OpCounts`]).
     pub fn op_counts(&self) -> OpCounts {
         self.counts
-    }
-
-    /// Drains and returns the change journal: every class touched and
-    /// every constant value first registered since the previous drain
-    /// (or since creation, for the first call). Pair with
-    /// [`EGraph::dirty_cone`] to seed delta-driven e-matching.
-    pub fn take_delta(&mut self) -> Delta {
-        std::mem::take(&mut self.journal)
-    }
-
-    fn journal_class(&mut self, id: ClassId) {
-        self.generation += 1;
-        self.journal.classes.push(id);
     }
 
     /// The class record of a canonical id.
@@ -608,13 +563,12 @@ impl EGraph {
             self.op_index.entry(sym).or_default().push(id);
         }
         self.memo.insert((op, slice), id);
-        self.journal_class(id);
+        self.generation += 1;
         // Register / fold constants.
         if let Some(value) = constant {
             match self.constants.get(&value) {
                 None => {
                     self.constants.insert(value, id);
-                    self.journal.constants.push(value);
                     // Make sure the literal constant node itself exists so
                     // the class always contains `Const(value)`.
                     if op != Op::Const(value) {
@@ -763,10 +717,7 @@ impl EGraph {
             self.const_epoch += 1;
         }
         if let Some(v) = new_const {
-            if let std::collections::hash_map::Entry::Vacant(e) = self.constants.entry(v) {
-                e.insert(root);
-                self.journal.constants.push(v);
-            }
+            self.constants.entry(v).or_insert(root);
         }
         // Re-point uncombinable pairs involving `other` at `root`.
         let stale: Vec<(ClassId, ClassId)> = self
@@ -783,7 +734,7 @@ impl EGraph {
             self.uncombinable.insert(ordered(x, y));
         }
         self.dirty.push(root);
-        self.journal_class(root);
+        self.generation += 1;
         Ok(root)
     }
 
@@ -1075,9 +1026,9 @@ impl EGraph {
         self.class_mut(parent_class).constant = Some(value);
         self.const_epoch += 1;
         // The class now matches constant patterns it did not match
-        // before — journal it even though the union below usually
-        // covers it.
-        self.journal_class(parent_class);
+        // before: move the generation even though the union below
+        // usually does too.
+        self.generation += 1;
         let lit = self.add_node(Op::Const(value), Vec::new())?;
         let lit = self.find(lit);
         let parent_class = self.find(parent_class);
@@ -1167,36 +1118,6 @@ impl EGraph {
             .filter(|&i| self.classes[i].is_some())
             .map(|i| ClassId(i as u32))
             .collect()
-    }
-
-    /// The set of canonical classes within `depth` parent (uses) edges
-    /// of any seed class, seeds included.
-    ///
-    /// This is the dirty set for delta-driven e-matching: if a class
-    /// `x` changed, every pattern match that could newly succeed (or
-    /// whose canonical substitution could have changed) has `x`
-    /// somewhere in its match tree, so the match's *root* class lies at
-    /// most `pattern depth` parent steps above `x`. Seeds may be stale
-    /// ids; they are canonicalized here.
-    pub fn dirty_cone(&self, seeds: &[ClassId], depth: usize) -> HashSet<ClassId> {
-        let mut cone: HashSet<ClassId> = seeds.iter().map(|&c| self.find(c)).collect();
-        let mut frontier: Vec<ClassId> = cone.iter().copied().collect();
-        for _ in 0..depth {
-            let mut next = Vec::new();
-            for &c in &frontier {
-                for &(_, pc) in &self.class(c).parents {
-                    let pc = self.find(pc);
-                    if cone.insert(pc) {
-                        next.push(pc);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        cone
     }
 
     /// The canonicalized, deduplicated e-nodes of a class, materialized
@@ -1659,75 +1580,39 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_new_classes_and_constants() {
+    fn generation_moves_on_every_event_a_repair_walk_can_see() {
+        // Congruence repair's skip (`EClass::walked_at`) trusts these
+        // bumps: a new class, a union, a congruence merge and a fold
+        // move the generation; a hashcons hit does not.
         let mut eg = EGraph::new();
-        let g0 = eg.generation();
-        let sum = eg.add_term(&t("(add64 x 4)")).unwrap();
-        assert!(eg.generation() > g0, "adding terms bumps the generation");
-        let delta = eg.take_delta();
-        // Every created class is journaled: x, 4, add64(x, 4).
-        let touched: HashSet<ClassId> = delta.classes.iter().map(|&c| eg.find(c)).collect();
-        for id in [sum, eg.lookup_term(&t("x")).unwrap()] {
-            assert!(touched.contains(&eg.find(id)), "missing {id:?}");
-        }
-        assert_eq!(delta.constants, vec![4], "new constant values journaled");
-        // Draining resets the journal; no-op lookups journal nothing.
-        let g1 = eg.generation();
-        eg.add_term(&t("(add64 x 4)")).unwrap(); // hashcons hit
-        assert_eq!(eg.generation(), g1);
-        assert!(eg.take_delta().is_empty());
-    }
-
-    #[test]
-    fn journal_records_unions() {
-        let mut eg = EGraph::new();
-        let x = eg.add_term(&t("x")).unwrap();
-        let y = eg.add_term(&t("y")).unwrap();
-        eg.take_delta();
-        let g0 = eg.generation();
-        eg.union(x, y).unwrap();
-        eg.rebuild().unwrap();
-        assert!(eg.generation() > g0);
-        let delta = eg.take_delta();
-        let touched: HashSet<ClassId> = delta.classes.iter().map(|&c| eg.find(c)).collect();
-        assert!(touched.contains(&eg.find(x)), "merged class journaled");
-    }
-
-    #[test]
-    fn journal_records_congruence_merges() {
-        // x = y merges f(x)/f(y) by congruence; the parent class must be
-        // journaled even though union() was never called on it directly.
-        let mut eg = EGraph::new();
+        let g = eg.generation();
         let fx = eg.add_term(&t("(f x)")).unwrap();
+        assert!(eg.generation() > g, "new classes");
+        let g = eg.generation();
+        eg.add_term(&t("(f x)")).unwrap();
+        assert_eq!(eg.generation(), g, "a hashcons hit");
         let fy = eg.add_term(&t("(f y)")).unwrap();
         let x = eg.lookup_term(&t("x")).unwrap();
         let y = eg.lookup_term(&t("y")).unwrap();
-        eg.take_delta();
+        let g = eg.generation();
         eg.union(x, y).unwrap();
+        assert!(eg.generation() > g, "a union");
+        // Repair merges f(x) and f(y) by congruence.
+        let (g, before) = (eg.generation(), eg.op_counts());
         eg.rebuild().unwrap();
-        let delta = eg.take_delta();
-        let touched: HashSet<ClassId> = delta.classes.iter().map(|&c| eg.find(c)).collect();
-        assert!(touched.contains(&eg.find(fx)));
-        assert!(touched.contains(&eg.find(fy)));
-    }
-
-    #[test]
-    fn journal_records_constant_folds() {
-        // n = 2 folds add64(n, 1) to 3: the folded class and the new
-        // constant value must both land in the journal, or a delta
-        // matcher would miss matches the fold enables.
-        let mut eg = EGraph::new();
+        assert_eq!(eg.find(fx), eg.find(fy));
+        assert_eq!(eg.op_counts().since(before).congruence_unions, 1);
+        assert!(eg.generation() > g, "a congruence merge");
+        // n = 2 folds add64(n, 1) to 3 during repair.
         let sum = eg.add_term(&t("(add64 n 1)")).unwrap();
         let n = eg.lookup_term(&t("n")).unwrap();
         let two = eg.add_term(&Term::constant(2)).unwrap();
-        eg.take_delta();
         eg.union(n, two).unwrap();
+        let (g, before) = (eg.generation(), eg.op_counts());
         eg.rebuild().unwrap();
         assert_eq!(eg.constant(sum), Some(3));
-        let delta = eg.take_delta();
-        let touched: HashSet<ClassId> = delta.classes.iter().map(|&c| eg.find(c)).collect();
-        assert!(touched.contains(&eg.find(sum)), "folded class journaled");
-        assert!(delta.constants.contains(&3), "folded value journaled");
+        assert_eq!(eg.op_counts().since(before).folds, 1);
+        assert!(eg.generation() > g, "a fold");
     }
 
     #[test]
@@ -1762,38 +1647,6 @@ mod tests {
         eg.union(n, two).unwrap();
         eg.rebuild().unwrap();
         assert_eq!(eg.op_counts().since(before).folds, 1);
-    }
-
-    #[test]
-    fn dirty_cone_walks_parents_to_bounded_depth() {
-        let mut eg = EGraph::new();
-        let gfx = eg.add_term(&t("(g (f x))")).unwrap();
-        let fx = eg.lookup_term(&t("(f x)")).unwrap();
-        let x = eg.lookup_term(&t("x")).unwrap();
-        eg.rebuild().unwrap();
-        let cone0 = eg.dirty_cone(&[x], 0);
-        assert_eq!(cone0, [eg.find(x)].into_iter().collect());
-        let cone1 = eg.dirty_cone(&[x], 1);
-        assert!(cone1.contains(&eg.find(fx)) && !cone1.contains(&eg.find(gfx)));
-        let cone2 = eg.dirty_cone(&[x], 2);
-        for id in [x, fx, gfx] {
-            assert!(cone2.contains(&eg.find(id)));
-        }
-    }
-
-    #[test]
-    fn dirty_cone_follows_merged_parent_edges() {
-        // After f(x)'s class merges with m's, parents recorded against
-        // either pre-merge class must still pull h(m) into x's cone.
-        let mut eg = EGraph::new();
-        let fx = eg.add_term(&t("(f x)")).unwrap();
-        let hm = eg.add_term(&t("(h m)")).unwrap();
-        let m = eg.lookup_term(&t("m")).unwrap();
-        let x = eg.lookup_term(&t("x")).unwrap();
-        eg.union(fx, m).unwrap();
-        eg.rebuild().unwrap();
-        let cone = eg.dirty_cone(&[x], 2);
-        assert!(cone.contains(&eg.find(hm)), "cone: {cone:?}");
     }
 
     impl EGraph {
@@ -1865,7 +1718,6 @@ mod tests {
         constants: Vec<(u64, ClassId)>,
         uncombinable: Vec<(ClassId, ClassId)>,
         memo: Vec<(OpRank, Vec<ClassId>, ClassId)>,
-        journal: (Vec<ClassId>, Vec<u64>),
         generation: u64,
         const_epoch: u64,
         counts: OpCounts,
@@ -1894,7 +1746,6 @@ mod tests {
             constants,
             uncombinable,
             memo,
-            journal: (eg.journal.classes.clone(), eg.journal.constants.clone()),
             generation: eg.generation,
             const_epoch: eg.const_epoch,
             counts: eg.op_counts(),

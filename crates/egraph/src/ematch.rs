@@ -9,10 +9,9 @@
 //!
 //! [`ematch`] scans every top-level candidate class; [`ematch_classes`]
 //! and [`ematch_classes_with`] take the root classes from the caller
-//! (delta-driven saturation passes the [`candidates`] inside its dirty
-//! cone, see [`EGraph::dirty_cone`]) and still search full equivalence
-//! classes below the root. [`ematch_classes_with`] streams its matches
-//! and stops when the caller says so.
+//! (saturation passes a pattern's [`candidates`]) and still search full
+//! equivalence classes below the root. [`ematch_classes_with`] streams
+//! its matches and stops when the caller says so.
 //!
 //! The matcher walks a stack of (pattern, class) goals depth first,
 //! binding one [`Subst`] in place and undoing each binding on the way
@@ -84,19 +83,6 @@ impl Subst {
     pub fn is_empty(&self) -> bool {
         self.bindings.is_empty()
     }
-}
-
-/// Nesting depth of a pattern: `0` for a leaf, `1 +` the deepest
-/// argument otherwise. A match for a pattern of depth `d` only explores
-/// classes reachable within `d` child edges of the root class, so `d`
-/// bounds how far dirtiness must propagate upward for delta matching.
-pub fn pattern_depth(pattern: &Term) -> usize {
-    pattern
-        .args()
-        .iter()
-        .map(|a| 1 + pattern_depth(a))
-        .max()
-        .unwrap_or(0)
 }
 
 /// The top-level candidate classes for `pattern`, in sorted order.
@@ -255,7 +241,6 @@ mod tests {
     use super::*;
     use denali_prng::Rng;
     use denali_term::sexpr;
-    use std::collections::HashSet;
 
     fn t(s: &str, vars: &[&str]) -> Term {
         let vars: Vec<Symbol> = vars.iter().map(|v| Symbol::intern(v)).collect();
@@ -490,32 +475,19 @@ mod tests {
     }
 
     #[test]
-    fn pattern_depth_counts_nesting() {
-        assert_eq!(pattern_depth(&t("x", &[])), 0);
-        assert_eq!(pattern_depth(&t("(f a)", &["a"])), 1);
-        assert_eq!(pattern_depth(&t("(mul64 k (pow 2 n))", &["k", "n"])), 2);
-    }
-
-    #[test]
-    fn delta_matching_restricts_roots_but_searches_below() {
+    fn given_roots_are_matched_through_the_classes_below() {
         let mut eg = EGraph::new();
         let mul = eg.add_term(&t("(mul64 reg6 4)", &[])).unwrap();
         eg.add_term(&t("(pow 2 2)", &[])).unwrap();
         eg.rebuild().unwrap();
         let pattern = t("(mul64 k (pow 2 n))", &["k", "n"]);
-        // A delta round matches the candidates inside its dirty cone.
-        let in_cone = |cone: &HashSet<ClassId>| {
-            let mut cands = candidates(&eg, &pattern);
-            cands.retain(|c| cone.contains(c));
-            ematch_classes(&eg, &pattern, &cands)
-        };
-        // Root class dirty: the match is found even though the (pow 2 2)
-        // evidence sits below the root, outside the dirty set.
-        let matches = in_cone(&[eg.find(mul)].into_iter().collect());
+        // The root is given: the match is found even though the
+        // (pow 2 2) evidence sits below it, in the class of 4.
+        let matches = ematch_classes(&eg, &pattern, &[eg.find(mul)]);
         assert_eq!(matches.len(), 1);
         assert_eq!(matches, ematch(&eg, &pattern));
-        // Root class not dirty: the top-level scan skips it.
-        assert!(in_cone(&HashSet::new()).is_empty());
+        // No roots given: nothing is scanned.
+        assert!(ematch_classes(&eg, &pattern, &[]).is_empty());
     }
 
     #[test]

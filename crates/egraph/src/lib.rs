@@ -52,9 +52,7 @@ mod hash;
 mod ways;
 
 pub use egraph::{
-    ClassId, Delta, EGraph, EGraphError, ENode, EqLiteral, MemoryStats, NodeId, OpCounts, SliceId,
+    ClassId, EGraph, EGraphError, ENode, EqLiteral, MemoryStats, NodeId, OpCounts, SliceId,
 };
-pub use ematch::{
-    candidates, ematch, ematch_classes, ematch_classes_with, ematch_in_class, pattern_depth, Subst,
-};
+pub use ematch::{candidates, ematch, ematch_classes, ematch_classes_with, ematch_in_class, Subst};
 pub use hash::{SeededHasher, SeededMap, SeededSet, SeededState};

@@ -233,26 +233,17 @@ pub fn render(records: &[Record]) -> String {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9} {:>10} {:>6} {:>9}",
-            "round",
-            "phase",
-            "scanned",
-            "skipped",
-            "instances",
-            "ematch_ms",
-            "rebuild_ms",
-            "walks",
-            "ms"
+            "{:<6} {:>5} {:>9} {:>10} {:>9} {:>10} {:>6} {:>9}",
+            "round", "phase", "scanned", "instances", "ematch_ms", "rebuild_ms", "walks", "ms"
         );
         for (id, span) in rounds {
             let w = work.get(&id).copied().unwrap_or_default();
             let _ = writeln!(
                 out,
-                "{:<6} {:>5} {:>9} {:>8} {:>10} {:>9.2} {:>10.2} {:>6} {:>9.2}",
+                "{:<6} {:>5} {:>9} {:>10} {:>9.2} {:>10.2} {:>6} {:>9.2}",
                 get_u64(&span.fields, "round"),
                 get_u64(&span.fields, "phase"),
                 get_u64(&span.fields, "scanned"),
-                get_u64(&span.fields, "skipped"),
                 get_u64(&span.fields, "instances"),
                 w.ematch_us as f64 / 1e3,
                 w.rebuild_us as f64 / 1e3,
@@ -443,11 +434,7 @@ mod tests {
                 field("applied", 2u64),
             ]
         });
-        round.finish_fields(vec![
-            field("scanned", 10u64),
-            field("skipped", 0u64),
-            field("instances", 2u64),
-        ]);
+        round.finish_fields(vec![field("scanned", 10u64), field("instances", 2u64)]);
         m.finish();
         let s = t.span("search");
         let probe = t.span_fields("probe", vec![field("k", 3u32)]);

@@ -480,16 +480,9 @@ fn main() -> ExitCode {
         }
         if cli.verbose {
             for (i, round) in compiled.matcher.rounds.iter().enumerate() {
-                let kind = if round.verification {
-                    " (verify)"
-                } else if round.full {
-                    " (full)"
-                } else {
-                    ""
-                };
                 println!(
-                    "//   round {i}{kind}: scanned {}, skipped {}, instances {}, {:.1} ms",
-                    round.scanned, round.skipped, round.instances, round.ms
+                    "//   round {i}: scanned {}, instances {}, {:.1} ms",
+                    round.scanned, round.instances, round.ms
                 );
             }
         }
