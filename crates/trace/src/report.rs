@@ -208,8 +208,10 @@ pub fn render(records: &[Record]) -> String {
     if !rounds.is_empty() {
         // Parts of a round's wall time: its e-matching time (the
         // `ematch.chunk` events' `match_us`, summed over the round's
-        // patterns) and its rebuild time and congruence-repair walks
-        // (its `egraph.stats` event's `rebuild_us` and `walks`).
+        // patterns), its replay and apply times (the round span's own
+        // `replay_us` and `apply_us`) and its rebuild time and
+        // congruence-repair walks (its `egraph.stats` event's
+        // `rebuild_us` and `walks`).
         let mut work: HashMap<u64, RoundWork> = HashMap::new();
         for r in records {
             if let Record::Event {
@@ -233,19 +235,30 @@ pub fn render(records: &[Record]) -> String {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "{:<6} {:>5} {:>9} {:>10} {:>9} {:>10} {:>6} {:>9}",
-            "round", "phase", "scanned", "instances", "ematch_ms", "rebuild_ms", "walks", "ms"
+            "{:<6} {:>5} {:>9} {:>10} {:>9} {:>9} {:>8} {:>10} {:>6} {:>9}",
+            "round",
+            "phase",
+            "scanned",
+            "instances",
+            "ematch_ms",
+            "replay_ms",
+            "apply_ms",
+            "rebuild_ms",
+            "walks",
+            "ms"
         );
         for (id, span) in rounds {
             let w = work.get(&id).copied().unwrap_or_default();
             let _ = writeln!(
                 out,
-                "{:<6} {:>5} {:>9} {:>10} {:>9.2} {:>10.2} {:>6} {:>9.2}",
+                "{:<6} {:>5} {:>9} {:>10} {:>9.2} {:>9.2} {:>8.2} {:>10.2} {:>6} {:>9.2}",
                 get_u64(&span.fields, "round"),
                 get_u64(&span.fields, "phase"),
                 get_u64(&span.fields, "scanned"),
                 get_u64(&span.fields, "instances"),
                 w.ematch_us as f64 / 1e3,
+                get_u64(&span.fields, "replay_us") as f64 / 1e3,
+                get_u64(&span.fields, "apply_us") as f64 / 1e3,
                 w.rebuild_us as f64 / 1e3,
                 w.walks,
                 span.dur_us as f64 / 1e3,
@@ -539,6 +552,22 @@ mod tests {
         };
         assert_eq!(cells("1"), ["0.50", "1.25", "7"], "got:\n{text}");
         assert_eq!(cells("2"), ["0.50", "0.04", "0"], "got:\n{text}");
+    }
+
+    #[test]
+    fn rounds_table_reads_each_rounds_replay_and_apply_time() {
+        let t = Tracer::new();
+        for (round, replay, apply) in [(1u64, 750u64, 2250u64), (2, 0, 40)] {
+            let span = t.span_fields("saturate.round", vec![field("round", round)]);
+            t.event("ematch.chunk", || vec![field("match_us", 500u64)]);
+            span.finish_fields(vec![field("replay_us", replay), field("apply_us", apply)]);
+        }
+        let text = render(&t.records());
+        let cells = |round| {
+            ["ematch_ms", "replay_ms", "apply_ms"].map(|column| round_cell(&text, round, column))
+        };
+        assert_eq!(cells("1"), ["0.50", "0.75", "2.25"], "got:\n{text}");
+        assert_eq!(cells("2"), ["0.50", "0.00", "0.04"], "got:\n{text}");
     }
 
     /// The cell of the rounds table in `round`'s row and `column`.
