@@ -554,13 +554,19 @@ mod tests {
 
     #[test]
     fn patterns_bind_all_body_variables() {
-        for axiom in all_axioms() {
-            for v in axiom.body_vars() {
-                assert!(
-                    axiom.patterns.iter().any(|p| p.vars().contains(&v)),
-                    "axiom {} has unbindable variable ?{v}",
-                    axiom.name
-                );
+        // Every trigger, not just one per axiom: a trigger that leaves a
+        // body variable unbound would scan its candidates every round
+        // and never fire.
+        for machine in ["ev6", "ev6-unclustered", "ia64like", "single-issue"] {
+            for axiom in axioms_for(machine) {
+                for trigger in &axiom.patterns {
+                    assert_eq!(
+                        axiom.unbound_by(trigger),
+                        None,
+                        "{machine}: axiom {} trigger {trigger}",
+                        axiom.name
+                    );
+                }
             }
         }
     }
