@@ -6,7 +6,7 @@ use std::fmt;
 
 use denali_term::{ops, Op, Symbol, Term};
 
-use crate::ematch::Subst;
+use crate::ematch::{slot, Subst};
 use crate::hash::{SeededMap, SeededSet};
 
 /// Identifier of an equivalence class.
@@ -14,7 +14,7 @@ use crate::hash::{SeededMap, SeededSet};
 /// Class ids are stable names for e-nodes' classes; after unions several
 /// ids may denote the same class. Use [`EGraph::find`] to canonicalize.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ClassId(u32);
+pub struct ClassId(pub(crate) u32);
 
 impl ClassId {
     /// Dense index (canonical only after [`EGraph::find`]).
@@ -178,6 +178,9 @@ pub enum EGraphErrorKind {
     /// (class ids are `u32`). A pathological input, not a bug — callers
     /// reject the program cleanly instead of panicking.
     TooManyClasses,
+    /// A variable table numbers more variables than a [`Subst`] has
+    /// slots ([`Subst::CAPACITY`]).
+    TooManyVariables,
 }
 
 /// Error raised when the asserted facts are contradictory (an unsound
@@ -209,6 +212,19 @@ impl EGraphError {
         EGraphError {
             message: format!("e-graph class budget exhausted ({capacity} classes)"),
             kind: EGraphErrorKind::TooManyClasses,
+        }
+    }
+
+    /// Creates a [`EGraphErrorKind::TooManyVariables`] error for a
+    /// variable table of `count` variables; `owner` names what it
+    /// numbers (e.g. an axiom).
+    pub fn too_many_variables(owner: &str, count: usize) -> EGraphError {
+        EGraphError {
+            message: format!(
+                "{owner} has {count} variables; a substitution binds at most {}",
+                Subst::CAPACITY
+            ),
+            kind: EGraphErrorKind::TooManyVariables,
         }
     }
 
@@ -374,6 +390,10 @@ pub struct EGraph {
     /// Scratch buffer reused by canonicalization in `&mut self` paths,
     /// so a hashcons hit allocates nothing.
     scratch: Vec<ClassId>,
+    /// Reused stack on which [`EGraph::add_term`] and
+    /// [`EGraph::add_instantiation`] build each node's child list, so
+    /// adding a term that already exists allocates nothing.
+    child_stack: Vec<ClassId>,
     /// Canonical ids of constant classes, for eager folding.
     constants: SeededMap<u64, ClassId>,
     /// Classes whose parents need congruence repair.
@@ -516,9 +536,9 @@ impl EGraph {
     /// new class would exceed [`EGraph::set_class_capacity`] (or the
     /// `u32` class-id representation limit). Hashcons hits never fail —
     /// only genuinely new nodes consume capacity.
-    pub fn add_node(&mut self, op: Op, children: Vec<ClassId>) -> Result<ClassId, EGraphError> {
+    pub fn add_node(&mut self, op: Op, children: &[ClassId]) -> Result<ClassId, EGraphError> {
         self.counts.adds += 1;
-        let buf = self.canonical_scratch(&children);
+        let buf = self.canonical_scratch(children);
         // Hit path: slice interning is content-addressed, so if the
         // canonical child list is interned and `(op, slice)` is
         // memoized, the node already exists. Nothing is allocated.
@@ -572,7 +592,7 @@ impl EGraph {
                     // Make sure the literal constant node itself exists so
                     // the class always contains `Const(value)`.
                     if op != Op::Const(value) {
-                        let lit = self.add_node(Op::Const(value), Vec::new())?;
+                        let lit = self.add_node(Op::Const(value), &[])?;
                         self.union(lit, id).expect("fresh constant cannot conflict");
                     }
                 }
@@ -609,44 +629,64 @@ impl EGraph {
     ///
     /// Fails if the term contains pattern variables.
     pub fn add_term(&mut self, term: &Term) -> Result<ClassId, EGraphError> {
-        match term.op() {
-            Op::Var(v) => Err(EGraphError::new(format!(
-                "cannot add pattern variable ?{v} to the e-graph"
-            ))),
-            op => {
-                let children = term
-                    .args()
-                    .iter()
-                    .map(|a| self.add_term(a))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.add_node(op, children)
-            }
-        }
+        self.add_with_bindings(term, None)
     }
 
-    /// Instantiates a pattern term: variables are looked up in `subst`
-    /// (mapping variable symbols to classes) and the rest is added.
+    /// Instantiates a pattern term: each variable is looked up in
+    /// `subst`, slot `i` binding `vars[i]`, and the rest is added.
     ///
     /// # Errors
     ///
-    /// Fails if a pattern variable is missing from `subst`.
+    /// Fails if a pattern variable has no slot in `vars` or its slot is
+    /// unbound in `subst`.
     pub fn add_instantiation(
         &mut self,
         pattern: &Term,
+        vars: &[Symbol],
         subst: &Subst,
     ) -> Result<ClassId, EGraphError> {
-        match pattern.op() {
-            Op::Var(v) => subst
-                .get(v)
+        self.add_with_bindings(pattern, Some((vars, subst)))
+    }
+
+    /// Adds `term`, its variables bound by `bindings` (none for a
+    /// ground term), building child lists on the reused child stack.
+    fn add_with_bindings(
+        &mut self,
+        term: &Term,
+        bindings: Option<(&[Symbol], &Subst)>,
+    ) -> Result<ClassId, EGraphError> {
+        let mut stack = std::mem::take(&mut self.child_stack);
+        stack.clear();
+        let class = self.add_with_bindings_on(term, bindings, &mut stack);
+        self.child_stack = stack;
+        class
+    }
+
+    /// Adds `term` bottom up. Each node pushes its children's classes on
+    /// `stack`, adds itself from that slice, and pops them again.
+    fn add_with_bindings_on(
+        &mut self,
+        term: &Term,
+        bindings: Option<(&[Symbol], &Subst)>,
+        stack: &mut Vec<ClassId>,
+    ) -> Result<ClassId, EGraphError> {
+        match (term.op(), bindings) {
+            (Op::Var(v), None) => Err(EGraphError::new(format!(
+                "cannot add pattern variable ?{v} to the e-graph"
+            ))),
+            (Op::Var(v), Some((vars, subst))) => slot(vars, v)
+                .and_then(|i| subst.get(i))
                 .map(|c| self.find(c))
                 .ok_or_else(|| EGraphError::new(format!("unbound pattern variable ?{v}"))),
-            op => {
-                let children = pattern
-                    .args()
-                    .iter()
-                    .map(|a| self.add_instantiation(a, subst))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.add_node(op, children)
+            (op, _) => {
+                let base = stack.len();
+                for arg in term.args() {
+                    let child = self.add_with_bindings_on(arg, bindings, stack)?;
+                    stack.push(child);
+                }
+                let class = self.add_node(op, &stack[base..]);
+                stack.truncate(base);
+                class
             }
         }
     }
@@ -1029,7 +1069,7 @@ impl EGraph {
         // before: move the generation even though the union below
         // usually does too.
         self.generation += 1;
-        let lit = self.add_node(Op::Const(value), Vec::new())?;
+        let lit = self.add_node(Op::Const(value), &[])?;
         let lit = self.find(lit);
         let parent_class = self.find(parent_class);
         if lit != parent_class {
@@ -1539,14 +1579,21 @@ mod tests {
         let reg6 = eg.add_term(&t("reg6")).unwrap();
         let one = eg.add_term(&Term::constant(1)).unwrap();
         let pattern = Term::call("s4addq", vec![Term::var("k"), Term::var("n")]);
+        let vars = [
+            Symbol::intern("n"),
+            Symbol::intern("k"),
+            Symbol::intern("u"),
+        ];
         let mut subst = Subst::new();
-        subst.insert(Symbol::intern("k"), reg6);
-        subst.insert(Symbol::intern("n"), one);
-        let c = eg.add_instantiation(&pattern, &subst).unwrap();
+        subst.insert(1, reg6);
+        subst.insert(0, one);
+        let c = eg.add_instantiation(&pattern, &vars, &subst).unwrap();
         assert_eq!(eg.lookup_term(&t("(s4addq reg6 1)")), Some(eg.find(c)));
-        // Missing binding errors.
-        let bad = Term::var("missing");
-        assert!(eg.add_instantiation(&bad, &subst).is_err());
+        // A variable with no slot, or an unbound slot, is an error.
+        for bad in ["missing", "u"] {
+            let bad = Term::call("f", vec![Term::var(bad)]);
+            assert!(eg.add_instantiation(&bad, &vars, &subst).is_err());
+        }
     }
 
     #[test]

@@ -52,7 +52,10 @@ mod hash;
 mod ways;
 
 pub use egraph::{
-    ClassId, EGraph, EGraphError, ENode, EqLiteral, MemoryStats, NodeId, OpCounts, SliceId,
+    ClassId, EGraph, EGraphError, EGraphErrorKind, ENode, EqLiteral, MemoryStats, NodeId, OpCounts,
+    SliceId,
 };
-pub use ematch::{candidates, ematch, ematch_classes, ematch_classes_with, ematch_in_class, Subst};
+pub use ematch::{
+    candidates, ematch, ematch_classes, ematch_classes_with, ematch_in_class, index_key, Subst,
+};
 pub use hash::{SeededHasher, SeededMap, SeededSet, SeededState};

@@ -148,7 +148,7 @@ fn memo_and_arena_agree_after_random_mutations() {
                 .map(|&nid| (nid, eg.node_op(nid), eg.node_children(nid).to_vec()))
                 .collect();
             for (nid, op, children) in entries {
-                let back = eg.add_node(op, children).unwrap();
+                let back = eg.add_node(op, &children).unwrap();
                 assert_eq!(
                     eg.find(back),
                     eg.find(class),
