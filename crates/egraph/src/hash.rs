@@ -1,7 +1,7 @@
 //! A seeded multiply hasher for the e-graph's hot maps.
 //!
 //! Congruence repair, the hashcons and the match dedup hash small keys
-//! of a few machine words — `(Op, SliceId)`, class-id pairs, sorted
+//! of a few machine words — `(Op, SliceId)`, class-id pairs, numbered
 //! substitutions — millions of times per compile. std's SipHash spends
 //! most of its time on setup and finalization for keys that short. This
 //! hasher mixes each word with one 64×64→128-bit multiply folded back
