@@ -1,12 +1,13 @@
 //! The stochastic (MCMC) engine as a pipeline citizen: determinism at a
 //! fixed seed across runs, the Figure 2 headline
 //! result found without SAT, the auto-engine fallback when the cycle
-//! budget is exhausted, and the permanent cross-validation oracle —
-//! the chain must never beat the SAT optimum it cannot certify.
+//! budget is exhausted, `stoke_profile` running the chain the engine
+//! runs, and the permanent cross-validation oracle — the chain must
+//! never beat the SAT optimum it cannot certify.
 
 use std::collections::HashMap;
 
-use denali_arch::{validate, Simulator};
+use denali_arch::{validate, Machine, Simulator};
 use denali_axioms::SaturationLimits;
 use denali_core::{Denali, EngineChoice, Options};
 use denali_prng::{forall, Rng};
@@ -97,6 +98,47 @@ fn auto_falls_back_to_the_chain_when_the_cycle_budget_is_exhausted() {
         "{}",
         err.message
     );
+}
+
+#[test]
+fn stoke_profile_ends_where_the_stochastic_engine_does() {
+    // `stoke_profile` (behind `stoke_bench` and `report e7`) and the
+    // engine both start the chain through one entry point; a profile
+    // that ran another chain would report cycles no compile prints.
+    let sources = [
+        include_str!("../../../examples/figure2.dnl"),
+        include_str!("../../../pipeline_bench/src/corpus/dot4.dnl"),
+        include_str!("../../../pipeline_bench/src/corpus/wide.dnl"),
+        include_str!("../../../pipeline_bench/src/corpus/sel.dnl"),
+    ];
+    for machine in ["ev6", "ev6-unclustered", "ia64like", "single-issue"] {
+        let denali = Denali::new(Options {
+            machine: Machine::by_name(machine).unwrap(),
+            engine: EngineChoice::Stochastic,
+            ..Options::default()
+        });
+        for source in sources {
+            let compiled = denali.compile_source(source).expect("stochastic compiles");
+            let runs = denali.stoke_profile(source).expect("profile runs");
+            assert_eq!(
+                runs.len(),
+                compiled.gmas.len(),
+                "{machine}: one chain per GMA"
+            );
+            for gma in &compiled.gmas {
+                assert_eq!(gma.engine, EngineChoice::Stochastic);
+                let run = runs
+                    .iter()
+                    .find(|r| r.gma == gma.gma.name)
+                    .unwrap_or_else(|| panic!("{machine}: no chain for {}", gma.gma.name));
+                assert_eq!(
+                    run.best_cycles, gma.cycles,
+                    "{machine}: {}: stoke_profile and compile_source disagree",
+                    gma.gma.name
+                );
+            }
+        }
+    }
 }
 
 /// Random pure-ALU goals over two inputs — the stochastic engine's
