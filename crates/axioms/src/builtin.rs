@@ -523,13 +523,6 @@ pub fn axioms_for(machine_name: &str) -> Vec<Axiom> {
     axioms
 }
 
-/// The default (Alpha EV6) axiom set: mathematical plus architectural.
-pub fn standard_axioms() -> Vec<Axiom> {
-    let mut axioms = math_axioms();
-    axioms.extend(alpha_axioms());
-    axioms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

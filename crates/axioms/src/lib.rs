@@ -47,7 +47,7 @@ mod saturate;
 
 pub use axiom::AxiomPriority;
 pub use axiom::{Axiom, AxiomBody, ParseAxiomError, SideCondition};
-pub use builtin::{alpha_axioms, axioms_for, ia64_axioms, math_axioms, standard_axioms};
+pub use builtin::{alpha_axioms, axioms_for, ia64_axioms, math_axioms};
 pub use saturate::{
     class_ops, saturate, saturate_traced, RoundStats, SaturationLimits, SaturationReport,
 };

@@ -44,9 +44,6 @@ pub struct SaturationLimits {
     /// applied per round; these regroup terms without adding meaning and
     /// are the main driver of saturation divergence.
     pub max_structural_per_round: usize,
-    /// Introduce `pow(2, k)` nodes into power-of-two constant classes
-    /// (the paper's `4 = 2**2` step in Figure 2).
-    pub pow2_facts: bool,
     /// Node-growth allowance for the structural (AC-closure) phase,
     /// beyond the size the semantic phase reached. The AC closure of a
     /// mixed-decomposition e-graph is astronomically large; this is the
@@ -70,7 +67,6 @@ impl Default for SaturationLimits {
             max_nodes: 20_000,
             max_instances_per_round: 10_000,
             max_structural_per_round: 1500,
-            pow2_facts: true,
             max_structural_growth: 4000,
             max_classes: u32::MAX as usize,
         }
@@ -358,32 +354,31 @@ fn saturate_phase(
         // (multiples of 8 below 64) record c = 8 * (c/8) so the
         // byte-instruction definitions (insbl = selectb << 8*i) can
         // match literal shift counts. Each constant is handled once per
-        // phase, in canonical class-id order.
-        if limits.pow2_facts {
-            let constants: Vec<u64> = egraph
-                .classes()
-                .iter()
-                .filter_map(|&c| egraph.constant(c))
-                .collect();
-            for c in constants {
-                if !pow2_done.insert(c) {
-                    continue;
-                }
-                if c.is_power_of_two() && c >= 2 {
-                    let k = c.trailing_zeros() as u64;
-                    let pow = Term::call("pow", vec![Term::constant(2), Term::constant(k)]);
-                    // Adding the term folds it into c's class eagerly.
-                    egraph.add_term(&pow)?;
-                    any_change = true;
-                }
-                if c % 8 == 0 && c < 64 {
-                    let shift = Term::call("mul64", vec![Term::constant(8), Term::constant(c / 8)]);
-                    egraph.add_term(&shift)?;
-                    any_change = true;
-                }
+        // phase, in canonical class-id order. This is the paper's
+        // `4 = 2**2` step in Figure 2.
+        let constants: Vec<u64> = egraph
+            .classes()
+            .iter()
+            .filter_map(|&c| egraph.constant(c))
+            .collect();
+        for c in constants {
+            if !pow2_done.insert(c) {
+                continue;
             }
-            timed_rebuild(egraph, &mut rebuild_time)?;
+            if c.is_power_of_two() && c >= 2 {
+                let k = c.trailing_zeros() as u64;
+                let pow = Term::call("pow", vec![Term::constant(2), Term::constant(k)]);
+                // Adding the term folds it into c's class eagerly.
+                egraph.add_term(&pow)?;
+                any_change = true;
+            }
+            if c % 8 == 0 && c < 64 {
+                let shift = Term::call("mul64", vec![Term::constant(8), Term::constant(c / 8)]);
+                egraph.add_term(&shift)?;
+                any_change = true;
+            }
         }
+        timed_rebuild(egraph, &mut rebuild_time)?;
 
         let (instances, truncated, replay_time) =
             match_and_replay(egraph, &plan, limits, &mut applied, &mut stats, tracer);
@@ -983,7 +978,7 @@ mod tests {
 
     #[test]
     fn streamed_rounds_match_the_oracle_on_random_gmas() {
-        let axioms = crate::builtin::standard_axioms();
+        let axioms = crate::builtin::axioms_for("ev6");
         let mut truncated = 0;
         forall(
             "streamed_rounds_match_the_oracle_on_random_gmas",

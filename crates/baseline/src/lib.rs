@@ -14,12 +14,12 @@
 //!   bottom-up strength-reduction rewriting followed by greedy list
 //!   scheduling on the same machine model. This stands in for the
 //!   production C compiler the paper coaxes into tying byteswap4
-//!   (`-fast -arch ev6` plus "helpful input").
+//!   (`-fast -arch ev6` plus "helpful input"). It runs no search, so it
+//!   is also the server's answer when a request's deadline expires and
+//!   the stochastic engine's starting program.
 
 pub mod brute;
-pub mod degraded;
 pub mod rewrite;
 
 pub use brute::{brute_search, BruteConfig, BruteProgram, BruteStats};
-pub use degraded::degraded_compile;
 pub use rewrite::{rewrite_compile, RewriteError};

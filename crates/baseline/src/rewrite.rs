@@ -798,4 +798,33 @@ mod tests {
         let gma = lower_proc(&p.procs[0]).unwrap().remove(0);
         assert!(rewrite_compile(&gma, &Machine::ev6()).is_err());
     }
+
+    #[test]
+    fn degraded_program_is_valid_machine_code() {
+        let (_, program) =
+            compile("(\\procdecl f ((reg6 long)) long (:= (\\res (+ (* reg6 4) 1))))");
+        denali_arch::validate(&program, &Machine::ev6()).unwrap();
+        assert!(!program.is_empty());
+    }
+
+    #[test]
+    fn degraded_matches_the_gma_semantics() {
+        let (_, program) =
+            compile("(\\procdecl f ((a long) (b long)) long (:= (\\res (& (<< a 2) b))))");
+        // Spot-check a few input vectors in the simulator.
+        let machine = Machine::ev6();
+        let sim = denali_arch::Simulator::new(&machine);
+        for (a, b) in [(0u64, 0u64), (1, u64::MAX), (0x1234_5678, 0xff00)] {
+            let out = sim
+                .run_named(&program, &[("a", a), ("b", b)], Map::new())
+                .unwrap();
+            let res_reg = program.output_reg(Symbol::intern("res")).unwrap();
+            let expect = (a << 2) & b;
+            assert_eq!(
+                out.regs.get(&res_reg).copied(),
+                Some(expect),
+                "a={a:#x} b={b:#x}"
+            );
+        }
+    }
 }

@@ -975,7 +975,7 @@ mod tests {
         let gma = lower_proc(&p.procs[0]).unwrap().remove(0);
         let matched = match_gma(
             &gma,
-            &denali_axioms::standard_axioms(),
+            &denali_axioms::axioms_for("ev6"),
             &SaturationLimits::default(),
         )
         .unwrap();
@@ -1032,7 +1032,7 @@ mod tests {
             max_nodes: 4_000,
             ..SaturationLimits::default()
         };
-        let matched = match_gma(&gma, &denali_axioms::standard_axioms(), &limits).unwrap();
+        let matched = match_gma(&gma, &denali_axioms::axioms_for("ev6"), &limits).unwrap();
         let quad = Machine::ev6();
         let single = Machine::single_issue();
         let cands_quad = enumerate(&matched, &quad, &gma.inputs(), None).unwrap();

@@ -6,8 +6,11 @@
 //! hand. This module wires the chain into the pipeline: engine choice
 //! (`--engine sat|stochastic|auto`, `DENALI_ENGINE`), equivalence-move
 //! mining from the saturated e-graph, the goal-semantics oracle the
-//! chain verifies against, and the anytime slot the serve deadline
-//! watchdog harvests when a request expires mid-compile.
+//! chain verifies against, the anytime slot the serve deadline
+//! watchdog harvests when a request expires mid-compile, and the one
+//! entry point every chain starts from ([`Denali::run_chain`]). The
+//! chain's seed and proposal budget are [`StokeKnobs`] on the options,
+//! never read from the environment.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -17,8 +20,8 @@ use denali_lang::Gma;
 use denali_stoke::{EquivRule, Sketch, StokeConfig, StokeOutcome, ValRef};
 use denali_term::value::Env;
 use denali_term::{ops, Op, Symbol, Term};
-use denali_trace::Tracer;
 
+use crate::facade::Denali;
 use crate::matcher::Matched;
 
 /// Which optimizer answers a compile.
@@ -71,43 +74,24 @@ pub fn env_engine() -> EngineChoice {
         .unwrap_or(EngineChoice::Sat)
 }
 
-/// Chain scheduling knobs. None of these are output-affecting in the
-/// fingerprint sense — they tune *how* a verified answer is found, and
-/// the serve cache only stores complete deterministic runs — so they
-/// are all excluded from the compilation fingerprint (pinned by the
+/// Chain scheduling knobs, defaulting to [`StokeConfig`]'s values. No
+/// request, flag or environment variable sets them, so they are
+/// excluded from the compilation fingerprint (pinned by the
 /// fingerprint tests).
 #[derive(Clone, Copy, Debug)]
 pub struct StokeKnobs {
-    /// Chain seed (`DENALI_STOKE_SEED`).
+    /// Chain seed.
     pub seed: u64,
-    /// Proposal budget for a full stochastic run
-    /// (`DENALI_STOKE_ITERATIONS`).
+    /// Proposal budget for a full stochastic run.
     pub iterations: u64,
-    /// Proposal budget for the bounded anytime prepass `auto` mode
-    /// runs before handing over to SAT.
-    pub auto_iterations: u64,
 }
 
 impl Default for StokeKnobs {
     fn default() -> StokeKnobs {
         let defaults = StokeConfig::default();
-        let env_u64 = |name: &str| std::env::var(name).ok().and_then(|v| v.trim().parse().ok());
         StokeKnobs {
-            seed: env_u64("DENALI_STOKE_SEED").unwrap_or(defaults.seed),
-            iterations: env_u64("DENALI_STOKE_ITERATIONS").unwrap_or(defaults.iterations),
-            auto_iterations: 6_000,
-        }
-    }
-}
-
-impl StokeKnobs {
-    /// The chain configuration for a run with the given proposal
-    /// budget.
-    pub fn config(&self, iterations: u64) -> StokeConfig {
-        StokeConfig {
-            seed: self.seed,
-            iterations,
-            ..StokeConfig::default()
+            seed: defaults.seed,
+            iterations: defaults.iterations,
         }
     }
 }
@@ -326,60 +310,62 @@ pub(crate) fn mine_equiv_rules(
     rules
 }
 
-/// One stochastic search over a single GMA, with anytime publishing.
-/// Returns `None` when the goal is outside the engine's fragment (the
-/// caller then falls back to the baseline program untouched).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chain(
-    machine: &Machine,
-    gma: &Gma,
-    matched: Option<&Matched>,
-    baseline: &Program,
-    knobs: &StokeKnobs,
-    iterations: u64,
-    cancel: Option<&denali_par::CancelToken>,
-    tracer: &Tracer,
-    anytime: Option<&AnytimeSlot>,
-) -> Option<StokeOutcome> {
-    if !stoke_supported(gma) {
-        return None;
-    }
-    let max_cells = StokeConfig::default().max_cells;
-    let sketch = Sketch::from_program(baseline, machine, max_cells)?;
-    let rules = matched
-        .map(|m| mine_equiv_rules(m, machine, &sketch))
-        .unwrap_or_default();
-    let input_syms: Vec<Symbol> = sketch.inputs.iter().map(|&(s, _)| s).collect();
-    let output_syms: Vec<Symbol> = sketch.outputs.iter().map(|&(s, _)| s).collect();
-    let mut oracle = gma_oracle(gma, input_syms, output_syms);
-    let baseline_cycles = baseline.cycles();
-    let name = gma.name.clone();
-    let mut on_best = |program: &Program, cycles: u32| {
-        if let Some(slot) = anytime {
-            if cycles < baseline_cycles {
-                slot.publish(
-                    &name,
-                    AnytimeBest {
-                        program: program.clone(),
-                        cycles,
-                        baseline_cycles,
-                    },
-                );
-            }
+impl Denali {
+    /// One stochastic search over a single GMA, starting from its
+    /// `baseline` rewrite with `iterations` proposals, the moves mined
+    /// from `matched`, and the machine, seed, cancel token, tracer and
+    /// anytime slot of this façade. Returns `None` when the goal is
+    /// outside the engine's fragment (the caller then falls back to the
+    /// baseline program untouched).
+    pub(crate) fn run_chain(
+        &self,
+        gma: &Gma,
+        matched: &Matched,
+        baseline: &Program,
+        iterations: u64,
+    ) -> Option<StokeOutcome> {
+        if !stoke_supported(gma) {
+            return None;
         }
-    };
-    let config = knobs.config(iterations);
-    Some(denali_stoke::optimize(
-        machine,
-        &sketch,
-        baseline,
-        &mut oracle,
-        &rules,
-        &config,
-        cancel,
-        tracer,
-        &mut on_best,
-    ))
+        let options = self.options();
+        let machine = &options.machine;
+        let config = StokeConfig {
+            seed: options.stoke.seed,
+            iterations,
+            ..StokeConfig::default()
+        };
+        let sketch = Sketch::from_program(baseline, machine, config.max_cells)?;
+        let rules = mine_equiv_rules(matched, machine, &sketch);
+        let input_syms: Vec<Symbol> = sketch.inputs.iter().map(|&(s, _)| s).collect();
+        let output_syms: Vec<Symbol> = sketch.outputs.iter().map(|&(s, _)| s).collect();
+        let mut oracle = gma_oracle(gma, input_syms, output_syms);
+        let baseline_cycles = baseline.cycles();
+        let mut on_best = |program: &Program, cycles: u32| {
+            if let Some(slot) = &options.anytime {
+                if cycles < baseline_cycles {
+                    slot.publish(
+                        &gma.name,
+                        AnytimeBest {
+                            program: program.clone(),
+                            cycles,
+                            baseline_cycles,
+                        },
+                    );
+                }
+            }
+        };
+        Some(denali_stoke::optimize(
+            machine,
+            &sketch,
+            baseline,
+            &mut oracle,
+            &rules,
+            &config,
+            options.cancel.as_ref(),
+            self.tracer(),
+            &mut on_best,
+        ))
+    }
 }
 
 #[cfg(test)]

@@ -7,11 +7,11 @@ use denali_axioms::{Axiom, SaturationLimits, SaturationReport};
 use denali_lang::{lower_proc, parse_program, Gma, SourceProgram};
 use denali_par::CancelToken;
 
-use denali_trace::{field, Tracer};
+use denali_trace::{field, Span, Tracer};
 
 use crate::encode::EncodeOptions;
-use crate::engine::{env_engine, run_chain, AnytimeSlot, EngineChoice, StokeKnobs};
-use crate::matcher::match_gma_traced;
+use crate::engine::{env_engine, AnytimeSlot, EngineChoice, StokeKnobs};
+use crate::matcher::{match_gma_traced, Matched};
 use crate::search::{search_traced, ProbeStats, SearchOutcome, SearchParams};
 
 pub use crate::search::SolverChoice;
@@ -272,48 +272,30 @@ impl Denali {
         &self.options
     }
 
-    /// A pipeline identical to this one but cancellable via `token`,
-    /// sharing this façade's tracer (so records from both accumulate
-    /// in one place). Serving installs per-request tokens this way:
-    /// preparation runs uncancellable on the shared façade, and each
-    /// admitted compile gets its own deadline-armed token without
-    /// rebuilding options or splitting the trace.
+    /// A pipeline identical to this one for a single run: cancellable
+    /// via `cancel`, publishing verified stochastic candidates into
+    /// `anytime` as they are found, and recording into `tracer` when
+    /// one is given, else into this façade's tracer (so records from
+    /// both accumulate in one place). The server makes one per
+    /// execution: preparation runs uncancellable on the shared façade,
+    /// and each admitted compile gets its own deadline-armed token,
+    /// under `auto` a fresh slot whose best verified program a deadline
+    /// expiry can answer with, and when sampled a private *capture*
+    /// tracer. None of the three changes the compiled output.
     #[must_use]
-    pub fn with_cancel(&self, token: CancelToken) -> Denali {
+    pub fn with_run(
+        &self,
+        cancel: CancelToken,
+        anytime: Option<AnytimeSlot>,
+        tracer: Option<Tracer>,
+    ) -> Denali {
         let mut options = self.options.clone();
-        options.cancel = Some(token);
-        Denali {
-            options,
-            tracer: self.tracer.clone(),
+        options.cancel = Some(cancel);
+        options.anytime = anytime;
+        if let Some(tracer) = &tracer {
+            options.trace = tracer.is_enabled();
         }
-    }
-
-    /// A pipeline identical to this one but publishing verified
-    /// stochastic candidates into `slot` as they are found. The server
-    /// installs a fresh slot per request so that when the deadline
-    /// watchdog cancels a compile, the response can carry the best
-    /// verified-so-far program instead of the degraded baseline.
-    #[must_use]
-    pub fn with_anytime(&self, slot: AnytimeSlot) -> Denali {
-        let mut options = self.options.clone();
-        options.anytime = Some(slot);
-        Denali {
-            options,
-            tracer: self.tracer.clone(),
-        }
-    }
-
-    /// A pipeline identical to this one but recording into `tracer`
-    /// instead of this façade's own tracer. The server uses this to
-    /// attach a *capture* tracer to individual requests (deterministic
-    /// sampling, slow-request spooling) without turning tracing on
-    /// globally: the sampled request's spans land in the private
-    /// tracer, every other request stays untraced, and the compiled
-    /// output is byte-identical either way (tracing only records).
-    #[must_use]
-    pub fn with_tracer(&self, tracer: Tracer) -> Denali {
-        let mut options = self.options.clone();
-        options.trace = tracer.is_enabled();
+        let tracer = tracer.unwrap_or_else(|| self.tracer.clone());
         Denali { options, tracer }
     }
 
@@ -489,12 +471,9 @@ impl Denali {
         let matched = matched.map_err(stage_err("match"))?;
         // Each round's time is its `saturate.round` span's; observed here,
         // once, whichever engine answers.
-        let metrics = pipeline_metrics();
         for round in &matched.report.rounds {
-            metrics.round_us.observe_ms(round.ms);
+            pipeline_metrics().round_us.observe_ms(round.ms);
         }
-        let egraph_memory = matched.egraph.memory_stats();
-        let egraph_counts = matched.egraph.op_counts();
         // Phase boundary: a deadline raised during matching stops here
         // rather than entering enumeration (saturation itself is
         // bounded by its budgets, so this check is reached promptly).
@@ -506,29 +485,12 @@ impl Denali {
         // so a deadline-cancelled SAT compile still leaves verified
         // candidates in the anytime slot.
         if self.options.engine == EngineChoice::Stochastic {
-            return self.compile_gma_stochastic(
-                gma,
-                &matched,
-                egraph_memory,
-                egraph_counts,
-                match_ms,
-                gma_span,
-            );
+            return self.compile_gma_stochastic(gma, matched, match_ms, gma_span);
         }
         if self.options.engine == EngineChoice::Auto && self.options.anytime.is_some() {
             if let Ok(baseline) = denali_baseline::rewrite_compile(&gma, &self.options.machine) {
                 let span = tracer.span("stoke.prepass");
-                run_chain(
-                    &self.options.machine,
-                    &gma,
-                    Some(&matched),
-                    &baseline,
-                    &self.options.stoke,
-                    self.options.stoke.auto_iterations,
-                    self.options.cancel.as_ref(),
-                    tracer,
-                    self.options.anytime.as_ref(),
-                );
+                self.run_chain(&gma, &matched, &baseline, AUTO_PREPASS_ITERATIONS);
                 span.finish();
             }
             self.check_cancelled()?;
@@ -594,14 +556,7 @@ impl Denali {
                 tracer.event("stoke.fallback", || {
                     vec![field("reason", e.message.clone())]
                 });
-                return self.compile_gma_stochastic(
-                    gma,
-                    &matched,
-                    egraph_memory,
-                    egraph_counts,
-                    match_ms,
-                    gma_span,
-                );
+                return self.compile_gma_stochastic(gma, matched, match_ms, gma_span);
             }
             Err(e) => {
                 return Err(CompileError {
@@ -616,26 +571,14 @@ impl Denali {
             field("refuted_below", outcome.refuted_below),
             field("probes", outcome.probes.len()),
         ]);
-        // Observability only: the process-wide registry sees every
-        // completed compile regardless of caller (CLI, tests, server).
-        // Recording is nanoseconds per event and never part of the
-        // fingerprint or the result.
-        metrics.compiles.inc();
-        metrics.egraph_nodes.set(egraph_memory.nodes);
-        metrics.egraph_bytes.set(egraph_memory.total_bytes);
-        Ok(CompiledGma {
+        Ok(compiled_gma(
             gma,
-            program: outcome.program,
-            cycles: outcome.cycles,
-            refuted_below: outcome.refuted_below,
-            matcher: matched.report,
-            probes: outcome.probes,
+            matched,
+            outcome,
+            EngineChoice::Sat,
             match_ms,
             search_ms,
-            egraph_memory,
-            egraph_counts,
-            engine: EngineChoice::Sat,
-        })
+        ))
     }
 
     /// The stochastic-engine tail of [`Denali::compile_gma`]: baseline
@@ -645,29 +588,16 @@ impl Denali {
     fn compile_gma_stochastic(
         &self,
         gma: Gma,
-        matched: &crate::matcher::Matched,
-        egraph_memory: denali_egraph::MemoryStats,
-        egraph_counts: denali_egraph::OpCounts,
+        matched: Matched,
         match_ms: f64,
-        gma_span: denali_trace::Span,
+        gma_span: Span,
     ) -> Result<CompiledGma, CompileError> {
-        let tracer = &self.tracer;
         let baseline = denali_baseline::rewrite_compile(&gma, &self.options.machine)
             .map_err(stage_err("baseline"))?;
-        let span = tracer.span("stoke");
-        let outcome = run_chain(
-            &self.options.machine,
-            &gma,
-            Some(matched),
-            &baseline,
-            &self.options.stoke,
-            self.options.stoke.iterations,
-            self.options.cancel.as_ref(),
-            tracer,
-            self.options.anytime.as_ref(),
-        );
+        let span = self.tracer.span("stoke");
+        let outcome = self.run_chain(&gma, &matched, &baseline, self.options.stoke.iterations);
         let search_ms = span.finish();
-        let (program, cycles) = match &outcome {
+        let (program, cycles) = match outcome {
             Some(out) if out.cancelled => {
                 gma_span.finish_fields(vec![
                     field("engine", "stochastic"),
@@ -678,7 +608,7 @@ impl Denali {
                     message: "stochastic search cancelled".to_owned(),
                 });
             }
-            Some(out) => (out.best_program.clone(), out.best_cycles),
+            Some(out) => (out.best_program, out.best_cycles),
             // Outside the engine's fragment (guards, memory,
             // uninterpreted operations): the baseline program *is* the
             // stochastic answer — total, verified by construction, no
@@ -689,23 +619,20 @@ impl Denali {
             }
         };
         gma_span.finish_fields(vec![field("cycles", cycles), field("engine", "stochastic")]);
-        let metrics = pipeline_metrics();
-        metrics.compiles.inc();
-        metrics.egraph_nodes.set(egraph_memory.nodes);
-        metrics.egraph_bytes.set(egraph_memory.total_bytes);
-        Ok(CompiledGma {
-            gma,
+        let outcome = SearchOutcome {
             program,
             cycles,
             refuted_below: false,
-            matcher: matched.report.clone(),
             probes: Vec::new(),
+        };
+        Ok(compiled_gma(
+            gma,
+            matched,
+            outcome,
+            EngineChoice::Stochastic,
             match_ms,
             search_ms,
-            egraph_memory,
-            egraph_counts,
-            engine: EngineChoice::Stochastic,
-        })
+        ))
     }
 
     /// Profiles the stochastic engine on every supported GMA of
@@ -734,17 +661,9 @@ impl Denali {
             .map_err(stage_err("match"))?;
             let baseline = denali_baseline::rewrite_compile(gma, &self.options.machine)
                 .map_err(stage_err("baseline"))?;
-            let Some(outcome) = run_chain(
-                &self.options.machine,
-                gma,
-                Some(&matched),
-                &baseline,
-                &self.options.stoke,
-                self.options.stoke.iterations,
-                self.options.cancel.as_ref(),
-                &self.tracer,
-                None,
-            ) else {
+            let Some(outcome) =
+                self.run_chain(gma, &matched, &baseline, self.options.stoke.iterations)
+            else {
                 continue;
             };
             runs.push(StokeRun {
@@ -761,6 +680,45 @@ impl Denali {
             });
         }
         Ok(runs)
+    }
+}
+
+/// Proposal budget of the bounded anytime chain `auto` runs before the
+/// SAT search, so a deadline that cancels the search still leaves
+/// verified candidates to answer with.
+const AUTO_PREPASS_ITERATIONS: u64 = 6_000;
+
+/// Fills a [`CompiledGma`] from a finished compile, whichever engine
+/// answered, and records it in the process-wide metrics.
+fn compiled_gma(
+    gma: Gma,
+    matched: Matched,
+    outcome: SearchOutcome,
+    engine: EngineChoice,
+    match_ms: f64,
+    search_ms: f64,
+) -> CompiledGma {
+    let egraph_memory = matched.egraph.memory_stats();
+    // Observability only: the process-wide registry sees every
+    // completed compile regardless of caller (CLI, tests, server).
+    // Recording is nanoseconds per event and never part of the
+    // fingerprint or the result.
+    let metrics = pipeline_metrics();
+    metrics.compiles.inc();
+    metrics.egraph_nodes.set(egraph_memory.nodes);
+    metrics.egraph_bytes.set(egraph_memory.total_bytes);
+    CompiledGma {
+        gma,
+        program: outcome.program,
+        cycles: outcome.cycles,
+        refuted_below: outcome.refuted_below,
+        matcher: matched.report,
+        probes: outcome.probes,
+        match_ms,
+        search_ms,
+        egraph_memory,
+        egraph_counts: matched.egraph.op_counts(),
+        engine,
     }
 }
 

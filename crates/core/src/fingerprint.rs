@@ -4,11 +4,17 @@
 //! determines a compilation's *output*: the lowered GMAs, the full
 //! axiom set, and the output-affecting subset of [`Options`]. Knobs
 //! that only change wall-clock or observability — `trace`,
-//! `dump_dimacs` and the cancellation token — are deliberately
-//! excluded, as are the no-op hints `threads`,
+//! `dump_dimacs`, the cancellation token and the anytime slot — are
+//! deliberately excluded, as are the no-op hints `threads`,
 //! `incremental` and `portfolio`: the pipeline's determinism contract
 //! guarantees byte-identical results across all of them, so requests
-//! differing only in those knobs may share one cached result.
+//! differing only in those knobs may share one cached result. So are
+//! the stochastic chain's seed and budget (`stoke`): no request, flag
+//! or environment variable sets them.
+//!
+//! The key starts with a version field (`v=2`); a change to what is
+//! hashed bumps it, so every key changes at once and no old entry can
+//! answer a request it was not computed for.
 //!
 //! The hash is two independent FNV-1a-64 lanes over a canonical text
 //! serialization. It is *not* cryptographic; it keys a trusted local
@@ -69,7 +75,7 @@ impl Fp {
 /// part of the key.
 pub fn fingerprint(gmas: &[Gma], axioms: &[Axiom], options: &Options) -> String {
     let mut fp = Fp::new();
-    fp.field("v", "1");
+    fp.field("v", "2");
 
     // Output-affecting options. `machine` is identified by name: the
     // constructors are the only way to build one, so the name pins the
@@ -79,10 +85,10 @@ pub fn fingerprint(gmas: &[Gma], axioms: &[Axiom], options: &Options) -> String 
     // The engine determines *which* optimizer answers, so two requests
     // differing only in `engine` must never share a cached result. The
     // stochastic knobs (`stoke.seed`, `stoke.iterations`) are excluded
-    // deliberately: they come from process environment, never from a
-    // request, so they are fixed for the lifetime of any cache keyed by
-    // this fingerprint; deadline-harvested anytime candidates bypass
-    // the cache entirely (see the serve crate).
+    // deliberately: no request sets them, so they are fixed for the
+    // lifetime of any cache keyed by this fingerprint;
+    // deadline-harvested anytime candidates bypass the cache entirely
+    // (see the serve crate).
     fp.field("engine", options.engine.as_str());
     fp.field("max_cycles", &options.max_cycles.to_string());
     let load_latency = match options.load_latency {
@@ -107,7 +113,6 @@ pub fn fingerprint(gmas: &[Gma], axioms: &[Axiom], options: &Options) -> String 
         "sat.max_structural_per_round",
         &s.max_structural_per_round.to_string(),
     );
-    fp.field("sat.pow2_facts", &s.pow2_facts.to_string());
     fp.field(
         "sat.max_structural_growth",
         &s.max_structural_growth.to_string(),
@@ -205,7 +210,7 @@ mod tests {
     #[test]
     fn fingerprint_is_stable_and_hex() {
         let gmas = figure2_gmas();
-        let axioms = denali_axioms::standard_axioms();
+        let axioms = denali_axioms::axioms_for("ev6");
         let opts = Options::default();
         let a = fingerprint(&gmas, &axioms, &opts);
         let b = fingerprint(&gmas, &axioms, &opts);
@@ -217,7 +222,7 @@ mod tests {
     #[test]
     fn fingerprint_ignores_execution_knobs() {
         let gmas = figure2_gmas();
-        let axioms = denali_axioms::standard_axioms();
+        let axioms = denali_axioms::axioms_for("ev6");
         let base = Options::default();
         let key = fingerprint(&gmas, &axioms, &base);
         let mut other = base.clone();
@@ -225,18 +230,17 @@ mod tests {
         other.incremental = !base.incremental;
         other.trace = true;
         other.dump_dimacs = Some(std::path::PathBuf::from("/tmp/nowhere"));
-        // Stochastic effort knobs are environment-pinned, not
-        // request-visible; they stay out of the key.
+        // Stochastic effort knobs are not request-visible; they stay
+        // out of the key.
         other.stoke.seed = base.stoke.seed.wrapping_add(1);
         other.stoke.iterations = base.stoke.iterations + 1;
-        other.stoke.auto_iterations = base.stoke.auto_iterations + 1;
         assert_eq!(key, fingerprint(&gmas, &axioms, &other));
     }
 
     #[test]
     fn fingerprint_tracks_output_affecting_knobs() {
         let gmas = figure2_gmas();
-        let axioms = denali_axioms::standard_axioms();
+        let axioms = denali_axioms::axioms_for("ev6");
         let base = Options::default();
         let key = fingerprint(&gmas, &axioms, &base);
         let mut cycles = base.clone();

@@ -568,7 +568,7 @@ mod tests {
         let gma = lower_proc(&p.procs[0]).unwrap().remove(0);
         let matched = match_gma(
             &gma,
-            &denali_axioms::standard_axioms(),
+            &denali_axioms::axioms_for("ev6"),
             &SaturationLimits::default(),
         )
         .unwrap();
@@ -655,7 +655,7 @@ mod tests {
         let gma = lower_proc(&p.procs[0]).unwrap().remove(0);
         let matched = match_gma(
             &gma,
-            &denali_axioms::standard_axioms(),
+            &denali_axioms::axioms_for("ev6"),
             &SaturationLimits::default(),
         )
         .unwrap();
@@ -682,7 +682,7 @@ mod tests {
         let gma = lower_proc(&p.procs[0]).unwrap().remove(0);
         let matched = match_gma(
             &gma,
-            &denali_axioms::standard_axioms(),
+            &denali_axioms::axioms_for("ev6"),
             &SaturationLimits::default(),
         )
         .unwrap();

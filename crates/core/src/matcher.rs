@@ -119,7 +119,7 @@ mod tests {
         let gma = gma_of("(procdecl f ((reg6 long)) long (:= (res (+ (* reg6 4) 1))))");
         let m = match_gma(
             &gma,
-            &denali_axioms::standard_axioms(),
+            &denali_axioms::axioms_for("ev6"),
             &SaturationLimits::default(),
         )
         .unwrap();
@@ -143,7 +143,7 @@ mod tests {
         );
         let m = match_gma(
             &gma,
-            &denali_axioms::standard_axioms(),
+            &denali_axioms::axioms_for("ev6"),
             &SaturationLimits::default(),
         )
         .unwrap();
@@ -158,7 +158,7 @@ mod tests {
         let gma = gma_of("(procdecl f ((a long) (b long)) long (:= (res (carry a b))))");
         let m_without = match_gma(
             &gma,
-            &denali_axioms::standard_axioms(),
+            &denali_axioms::axioms_for("ev6"),
             &SaturationLimits::default(),
         )
         .unwrap();
@@ -175,7 +175,7 @@ mod tests {
         )
         .unwrap();
         let axiom = Axiom::parse_sexpr(&axiom_form, "carry-def").unwrap();
-        let mut axioms = denali_axioms::standard_axioms();
+        let mut axioms = denali_axioms::axioms_for("ev6");
         axioms.push(axiom);
         let m_with = match_gma(&gma, &axioms, &SaturationLimits::default()).unwrap();
         let ops: Vec<String> = m_with

@@ -122,7 +122,7 @@ fn failed_and_stochastic_compiles_keep_their_measurements() {
         })
     };
     let err = denali
-        .with_cancel(token)
+        .with_run(token, None, None)
         .compile_source(BYTESWAP4)
         .expect_err("the compile was cancelled");
     canceller.join().unwrap();

@@ -383,18 +383,14 @@ impl Server {
         let sampled = self.flight.sample_hit();
         let capture = (sampled || self.flight.spool_armed()).then(Tracer::new);
         let cancel = CancelToken::default();
-        let mut denali = ctx.denali.with_cancel(cancel.clone());
-        if let Some(tracer) = &capture {
-            denali = denali.with_tracer(tracer.clone());
-        }
         // Under `engine: auto`, install an anytime slot: the stochastic
         // prepass publishes verified best-so-far candidates into it, so
         // a deadline expiry can harvest a real answer instead of
         // degrading to the baseline.
-        let anytime = (denali.options().engine == EngineChoice::Auto).then(AnytimeSlot::new);
-        if let Some(slot) = &anytime {
-            denali = denali.with_anytime(slot.clone());
-        }
+        let anytime = (ctx.denali.options().engine == EngineChoice::Auto).then(AnytimeSlot::new);
+        let denali = ctx
+            .denali
+            .with_run(cancel.clone(), anytime.clone(), capture.clone());
         // Arm the deadline, measured from admission so queue time counts
         // against it. An already-expired deadline cancels inline —
         // deterministic degradation, no watchdog race. A deadline too
@@ -572,7 +568,10 @@ impl Server {
 /// programs are verified and strictly cheaper than the baseline, so
 /// nothing about it is degraded; otherwise it is the classic
 /// `degraded: true` baseline body. Returns the body and whether it was
-/// fully harvested.
+/// fully harvested. The baseline runs no search, so it costs
+/// microseconds however hard the GMA is; it fails only on
+/// program-specific operations no rewrite covers, and then so does
+/// this.
 fn fallback_body(
     denali: &Denali,
     prepared: &denali_core::Prepared,
@@ -596,7 +595,7 @@ fn fallback_body(
             });
             continue;
         }
-        let program = denali_baseline::degraded_compile(gma, machine)
+        let program = denali_baseline::rewrite_compile(gma, machine)
             .map_err(|e| format!("baseline fallback failed for {}: {e}", gma.name))?;
         gmas.push(GmaSummary {
             name: gma.name.clone(),
@@ -613,17 +612,6 @@ fn fallback_body(
         protocol::render_result_body(fingerprint, !full, engine, &gmas),
         full,
     ))
-}
-
-/// Compiles every GMA with the baseline rewriter (microseconds, no
-/// search) and renders a `degraded: true` body — the no-anytime-slot
-/// fallback used by expired coalesced followers.
-fn degraded_body(
-    denali: &Denali,
-    prepared: &denali_core::Prepared,
-    fingerprint: &str,
-) -> Result<String, String> {
-    fallback_body(denali, prepared, fingerprint, None).map(|(body, _)| body)
 }
 
 fn pong(id: &RequestId) -> String {
@@ -823,8 +811,9 @@ fn follower_wait<W: Write + Send + 'static>(
             // waiting past the deadline for a maybe-soon leader would
             // violate the one guarantee deadlines make.
             server.metrics.coalesced_expired.inc();
-            match degraded_body(&ctx.denali, &ctx.prepared, &ctx.fingerprint) {
-                Ok(body) => {
+            // With no anytime slot, every GMA takes the baseline.
+            match fallback_body(&ctx.denali, &ctx.prepared, &ctx.fingerprint, None) {
+                Ok((body, _)) => {
                     server.metrics.compiles_degraded.inc();
                     let line = server.finish(&req.id, admitted, "degraded", true, None, &body);
                     write_line(out, &line);
