@@ -79,7 +79,7 @@ pub struct Options {
     /// fingerprint. Defaults to the `DENALI_ENGINE` environment
     /// variable, else `sat`.
     pub engine: EngineChoice,
-    /// Stochastic-chain scheduling knobs (seed, proposal budgets).
+    /// Stochastic-chain scheduling knobs (seed and proposal budget).
     /// Excluded from the fingerprint, like `incremental`.
     pub stoke: StokeKnobs,
     /// The anytime channel: when set, verified stochastic candidates
@@ -281,7 +281,8 @@ impl Denali {
     /// and each admitted compile gets its own deadline-armed token,
     /// under `auto` a fresh slot whose best verified program a deadline
     /// expiry can answer with, and when sampled a private *capture*
-    /// tracer. None of the three changes the compiled output.
+    /// tracer. Tracing only records, so the program is the same with or
+    /// without one.
     #[must_use]
     pub fn with_run(
         &self,
@@ -638,7 +639,7 @@ impl Denali {
     /// Profiles the stochastic engine on every supported GMA of
     /// `source`: one full chain per GMA with mined equivalence moves,
     /// returning the best-cost trajectory and chain statistics. Used
-    /// by the `stoke_bench` artifact and the `report e7` table; fully
+    /// by the `stoke_bench` artifact and the `report e7s` table; fully
     /// deterministic at a fixed [`StokeKnobs::seed`].
     ///
     /// # Errors

@@ -8,9 +8,9 @@
 //! deliberately excluded, as are the no-op hints `threads`,
 //! `incremental` and `portfolio`: the pipeline's determinism contract
 //! guarantees byte-identical results across all of them, so requests
-//! differing only in those knobs may share one cached result. So are
-//! the stochastic chain's seed and budget (`stoke`): no request, flag
-//! or environment variable sets them.
+//! differing only in those knobs may share one cached result. The
+//! stochastic chain's seed and budget (`stoke`) are excluded too: no
+//! request, flag or environment variable sets them.
 //!
 //! The key starts with a version field (`v=2`); a change to what is
 //! hashed bumps it, so every key changes at once and no old entry can
@@ -230,6 +230,8 @@ mod tests {
         other.incremental = !base.incremental;
         other.trace = true;
         other.dump_dimacs = Some(std::path::PathBuf::from("/tmp/nowhere"));
+        other.cancel = Some(denali_par::CancelToken::default());
+        other.anytime = Some(crate::engine::AnytimeSlot::new());
         // Stochastic effort knobs are not request-visible; they stay
         // out of the key.
         other.stoke.seed = base.stoke.seed.wrapping_add(1);

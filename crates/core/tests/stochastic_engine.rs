@@ -102,7 +102,7 @@ fn auto_falls_back_to_the_chain_when_the_cycle_budget_is_exhausted() {
 
 #[test]
 fn stoke_profile_ends_where_the_stochastic_engine_does() {
-    // `stoke_profile` (behind `stoke_bench` and `report e7`) and the
+    // `stoke_profile` (behind `stoke_bench` and `report e7s`) and the
     // engine both start the chain through one entry point; a profile
     // that ran another chain would report cycles no compile prints.
     let sources = [
