@@ -15,7 +15,14 @@
 //!   conditions over matched constants,
 //! * parsing of the paper's LISP-like axiom syntax
 //!   ([`Axiom::parse_sexpr`]),
-//! * the built-in axiom sets: [`math_axioms`] and [`alpha_axioms`],
+//! * [`AxiomSet`] — the axioms one compilation matches with, plus what
+//!   the matcher and the serve cache key derive from them alone (each
+//!   axiom's variable table, each saturation phase's members and
+//!   triggers, the key text), worked out once when the set is built,
+//! * the built-in axioms: [`math_axioms`], [`alpha_axioms`] and
+//!   [`ia64_axioms`], and [`axioms_for`], which hands out a machine
+//!   family's built-in set — built on first use, then shared by the
+//!   whole process,
 //! * [`saturate`] — the matching phase of Figure 1: repeatedly
 //!   instantiate relevant axioms in the e-graph until quiescence (or a
 //!   budget is exhausted; the paper's "heuristics that are designed to
@@ -24,9 +31,11 @@
 //! # Example
 //!
 //! ```
-//! use denali_axioms::{alpha_axioms, math_axioms, saturate, SaturationLimits};
+//! use std::sync::Arc;
+//!
+//! use denali_axioms::{axioms_for, saturate, Axiom, AxiomSet, SaturationLimits};
 //! use denali_egraph::EGraph;
-//! use denali_term::Term;
+//! use denali_term::{sexpr, Term};
 //!
 //! // Figure 2: saturate reg6*4 + 1 and find the s4addq way.
 //! let mut eg = EGraph::new();
@@ -34,16 +43,31 @@
 //!     Term::call("mul64", vec![Term::leaf("reg6"), Term::constant(4)]),
 //!     Term::constant(1),
 //! ])).unwrap();
-//! let mut axioms = math_axioms();
-//! axioms.extend(alpha_axioms());
-//! saturate(&mut eg, &axioms, &SaturationLimits::default()).unwrap();
+//! let ev6 = axioms_for("ev6"); // the Alpha set, shared by the process
+//! assert!(Arc::ptr_eq(&ev6, &axioms_for("ev6-unclustered")));
+//! saturate(&mut eg, &ev6, &SaturationLimits::default()).unwrap();
 //! let ops: Vec<_> = eg.nodes(goal).iter().filter_map(|n| n.sym()).collect();
 //! assert!(ops.iter().any(|s| s.as_str() == "s4addq"));
+//!
+//! // A program's own axiom goes after the built-ins, in a set of its own.
+//! let form = sexpr::parse_one(
+//!     "(axiom (forall (a b) (eq (carry a b) (cmpult (add64 a b) a))))",
+//! ).unwrap();
+//! let mut axioms = ev6.axioms().to_vec();
+//! axioms.push(Axiom::parse_sexpr(&form, "carry-def").unwrap());
+//! let with_carry = AxiomSet::new(axioms).unwrap();
+//! assert_eq!(with_carry.len(), ev6.len() + 1);
+//! // Its cache-key text is the built-ins' followed by its own axiom's.
+//! assert!(with_carry.key_text().starts_with(ev6.key_text()));
+//! assert!(with_carry.key_text().ends_with(
+//!     "eq.r=(cmpult (add64 ?a ?b) ?a);cond=-;priority=defining;"
+//! ));
 //! ```
 
 mod axiom;
 mod builtin;
 mod saturate;
+mod set;
 
 pub use axiom::AxiomPriority;
 pub use axiom::{Axiom, AxiomBody, ParseAxiomError, SideCondition};
@@ -51,3 +75,4 @@ pub use builtin::{alpha_axioms, axioms_for, ia64_axioms, math_axioms};
 pub use saturate::{
     class_ops, saturate, saturate_traced, RoundStats, SaturationLimits, SaturationReport,
 };
+pub use set::AxiomSet;

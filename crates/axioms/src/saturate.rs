@@ -28,6 +28,7 @@ use denali_term::{Op, Symbol, Term};
 use denali_trace::{field, Tracer};
 
 use crate::axiom::{for_each_var, Axiom, AxiomBody, AxiomPriority};
+use crate::set::AxiomSet;
 
 /// Budgets that keep the matcher from running forever (the paper's
 /// caveat: heuristics may stop it before true quiescence, which is one
@@ -148,13 +149,16 @@ fn simple_rhs(axiom: &Axiom) -> bool {
 ///    here prevents the cascade where every new regrouping re-triggers
 ///    mask/shift expansions of its subterms.
 ///
+/// Both phases read the plans `axioms` worked out when it was built
+/// ([`AxiomSet::new`]); nothing is planned per call.
+///
 /// # Errors
 ///
 /// Propagates contradictions from the e-graph (which indicate an unsound
 /// axiom set).
 pub fn saturate(
     egraph: &mut EGraph,
-    axioms: &[Axiom],
+    axioms: &AxiomSet,
     limits: &SaturationLimits,
 ) -> Result<SaturationReport, EGraphError> {
     saturate_traced(egraph, axioms, limits, &Tracer::disabled())
@@ -170,19 +174,12 @@ pub fn saturate(
 /// As [`saturate`].
 pub fn saturate_traced(
     egraph: &mut EGraph,
-    axioms: &[Axiom],
+    axioms: &AxiomSet,
     limits: &SaturationLimits,
     tracer: &Tracer,
 ) -> Result<SaturationReport, EGraphError> {
-    let phase1: Vec<&Axiom> = axioms
-        .iter()
-        .filter(|a| a.priority != AxiomPriority::Structural)
-        .collect();
-    let phase2: Vec<&Axiom> = axioms
-        .iter()
-        .filter(|a| a.priority == AxiomPriority::Structural || simple_rhs(a))
-        .collect();
-    let mut report = saturate_phase(egraph, &phase1, limits, tracer, 1)?;
+    let [phase1, phase2] = axioms.phases();
+    let mut report = saturate_phase(egraph, axioms, phase1, limits, tracer, 1)?;
     let phase2_limits = SaturationLimits {
         max_iterations: limits.max_iterations.min(8),
         max_nodes: limits
@@ -190,13 +187,14 @@ pub fn saturate_traced(
             .min(egraph.num_nodes() + limits.max_structural_growth),
         ..*limits
     };
-    let r2 = saturate_phase(egraph, &phase2, &phase2_limits, tracer, 2)?;
+    let r2 = saturate_phase(egraph, axioms, phase2, &phase2_limits, tracer, 2)?;
     report.absorb(r2);
     Ok(report)
 }
 
-/// What is static about one axiom during a phase.
-struct AxiomPlan {
+/// What is static about one axiom: worked out once, when its set is
+/// built.
+pub(crate) struct AxiomPlan {
     /// The axiom's variable table ([`Axiom::var_table`]): slot `i` of
     /// each of its matches binds `vars[i]`.
     vars: Vec<Symbol>,
@@ -204,13 +202,55 @@ struct AxiomPlan {
     /// order (empty without a condition; only a firing trigger's
     /// matches read it).
     condition: Vec<usize>,
+    /// The slots a trigger must bind to fire: every body and
+    /// side-condition variable's. `None` when a condition variable
+    /// appears in no term, so no trigger binds it.
+    needed: Option<u8>,
+}
+
+impl AxiomPlan {
+    /// Numbers the axiom's variables and finds its condition's slots.
+    ///
+    /// # Errors
+    ///
+    /// A `TooManyVariables` error if the axiom, or its side condition,
+    /// has more variables than a [`Subst`] has slots.
+    pub(crate) fn new(axiom: &Axiom) -> Result<AxiomPlan, EGraphError> {
+        let vars = axiom.var_table();
+        if vars.len() > Subst::CAPACITY {
+            let owner = format!("axiom {}", axiom.name);
+            return Err(EGraphError::too_many_variables(&owner, vars.len()));
+        }
+        let cond_vars = axiom.condition.as_ref().map_or(&[][..], |c| &c.vars[..]);
+        if cond_vars.len() > Subst::CAPACITY {
+            let owner = format!("the side condition of axiom {}", axiom.name);
+            return Err(EGraphError::too_many_variables(&owner, cond_vars.len()));
+        }
+        let mut slots = axiom.body_terms().fold(0, |m, t| m | slot_mask(t, &vars));
+        let mut condition = Vec::with_capacity(cond_vars.len());
+        let mut bindable = true;
+        for &v in cond_vars {
+            match vars.iter().position(|&w| w == v) {
+                Some(slot) => {
+                    condition.push(slot);
+                    slots |= 1 << slot;
+                }
+                None => bindable = false,
+            }
+        }
+        Ok(AxiomPlan {
+            vars,
+            condition,
+            needed: bindable.then_some(slots),
+        })
+    }
 }
 
 /// One trigger of a phase's work list.
-struct Trigger<'a> {
-    /// Index of its axiom in the phase.
+struct Trigger {
+    /// Index of its axiom in the set.
     axiom: usize,
-    pattern: &'a Term,
+    pattern: Term,
     /// Index of its candidate list among the round's lists, one per
     /// distinct [`index_key`].
     head: usize,
@@ -221,86 +261,63 @@ struct Trigger<'a> {
     fires: bool,
 }
 
-/// A phase's axioms and what the matcher works out about them once.
-struct PhasePlan<'a> {
-    axioms: &'a [&'a Axiom],
-    /// One per axiom.
-    axiom_plans: Vec<AxiomPlan>,
-    /// Every trigger of every axiom, in axiom order.
-    triggers: Vec<Trigger<'a>>,
+/// A phase's axioms and what the matcher works out about them: built
+/// once per set, for each of the two phases.
+pub(crate) struct PhasePlan {
+    /// The set indices of the phase's axioms, in set order.
+    pub(crate) members: Vec<usize>,
+    /// Every trigger of every member, in set order.
+    triggers: Vec<Trigger>,
     /// One pattern per distinct [`index_key`] among the triggers: each
     /// round computes the candidates of these.
-    heads: Vec<&'a Term>,
+    heads: Vec<Term>,
 }
 
-impl<'a> PhasePlan<'a> {
-    /// Numbers every axiom's variables and lists every trigger with its
+impl PhasePlan {
+    /// Plans both phases of `axioms` ([`saturate`]): phase 1 takes every
+    /// non-structural axiom, phase 2 the structural ones and those with a
+    /// simple right-hand side. `plans` holds one plan per axiom.
+    pub(crate) fn both(axioms: &[Axiom], plans: &[AxiomPlan]) -> [PhasePlan; 2] {
+        let semantic = |a: &Axiom| a.priority != AxiomPriority::Structural;
+        let structural = |a: &Axiom| a.priority == AxiomPriority::Structural || simple_rhs(a);
+        [
+            PhasePlan::new(axioms, plans, semantic),
+            PhasePlan::new(axioms, plans, structural),
+        ]
+    }
+
+    /// The phase of the axioms `member` picks: every trigger with its
     /// candidate list and whether it can fire.
-    ///
-    /// # Errors
-    ///
-    /// A `TooManyVariables` error if an axiom, or its side condition,
-    /// has more variables than a [`Subst`] has slots.
-    fn new(axioms: &'a [&'a Axiom]) -> Result<PhasePlan<'a>, EGraphError> {
-        let mut axiom_plans = Vec::with_capacity(axioms.len());
-        // Per axiom, the slots a trigger must bind to fire: every body
-        // and side-condition variable's. `None` when a condition
-        // variable appears in no term, so no trigger binds it.
-        let mut needed = Vec::with_capacity(axioms.len());
-        for axiom in axioms {
-            let vars = axiom.var_table();
-            if vars.len() > Subst::CAPACITY {
-                let owner = format!("axiom {}", axiom.name);
-                return Err(EGraphError::too_many_variables(&owner, vars.len()));
-            }
-            let cond_vars = axiom.condition.as_ref().map_or(&[][..], |c| &c.vars[..]);
-            if cond_vars.len() > Subst::CAPACITY {
-                let owner = format!("the side condition of axiom {}", axiom.name);
-                return Err(EGraphError::too_many_variables(&owner, cond_vars.len()));
-            }
-            let mut slots = axiom.body_terms().fold(0, |m, t| m | slot_mask(t, &vars));
-            let mut condition = Vec::with_capacity(cond_vars.len());
-            let mut bindable = true;
-            for &v in cond_vars {
-                match vars.iter().position(|&w| w == v) {
-                    Some(slot) => {
-                        condition.push(slot);
-                        slots |= 1 << slot;
-                    }
-                    None => bindable = false,
-                }
-            }
-            needed.push(bindable.then_some(slots));
-            axiom_plans.push(AxiomPlan { vars, condition });
-        }
-        let mut heads: Vec<&Term> = Vec::new();
+    fn new(axioms: &[Axiom], plans: &[AxiomPlan], member: impl Fn(&Axiom) -> bool) -> PhasePlan {
+        let members: Vec<usize> = (0..axioms.len()).filter(|&i| member(&axioms[i])).collect();
+        let mut heads: Vec<Term> = Vec::new();
         let mut triggers = Vec::new();
-        for (axiom_idx, axiom) in axioms.iter().enumerate() {
-            for pattern in &axiom.patterns {
+        for &axiom_idx in &members {
+            for pattern in &axioms[axiom_idx].patterns {
                 let key = index_key(pattern);
                 let head = match heads.iter().position(|h| index_key(h) == key) {
                     Some(head) => head,
                     None => {
-                        heads.push(pattern);
+                        heads.push(pattern.clone());
                         heads.len() - 1
                     }
                 };
-                let bound = slot_mask(pattern, &axiom_plans[axiom_idx].vars);
-                let fires = needed[axiom_idx].is_some_and(|slots| slots & !bound == 0);
+                let plan = &plans[axiom_idx];
+                let bound = slot_mask(pattern, &plan.vars);
+                let fires = plan.needed.is_some_and(|slots| slots & !bound == 0);
                 triggers.push(Trigger {
                     axiom: axiom_idx,
-                    pattern,
+                    pattern: pattern.clone(),
                     head,
                     fires,
                 });
             }
         }
-        Ok(PhasePlan {
-            axioms,
-            axiom_plans,
+        PhasePlan {
+            members,
             triggers,
             heads,
-        })
+        }
     }
 }
 
@@ -318,21 +335,21 @@ fn slot_mask(term: &Term, vars: &[Symbol]) -> u8 {
 
 fn saturate_phase(
     egraph: &mut EGraph,
-    axioms: &[&Axiom],
+    set: &AxiomSet,
+    plan: &PhasePlan,
     limits: &SaturationLimits,
     tracer: &Tracer,
     phase: u64,
 ) -> Result<SaturationReport, EGraphError> {
-    let plan = PhasePlan::new(axioms)?;
     let phase_span = tracer.span_fields(
         "saturate.phase",
-        vec![field("phase", phase), field("axioms", axioms.len())],
+        vec![field("phase", phase), field("axioms", plan.members.len())],
     );
     let mut report = SaturationReport::default();
-    // Each axiom's applied instances. Every class a match binds is
-    // canonical in the e-graph it was matched in, so a match is its own
-    // dedup key.
-    let mut applied: Vec<SeededSet<Subst>> = vec![SeededSet::default(); axioms.len()];
+    // Each axiom's applied instances, by set index (a non-member's set
+    // stays empty). Every class a match binds is canonical in the
+    // e-graph it was matched in, so a match is its own dedup key.
+    let mut applied: Vec<SeededSet<Subst>> = vec![SeededSet::default(); set.len()];
     let mut pow2_done: HashSet<u64> = HashSet::new();
 
     egraph.rebuild()?;
@@ -381,10 +398,10 @@ fn saturate_phase(
         timed_rebuild(egraph, &mut rebuild_time)?;
 
         let (instances, truncated, replay_time) =
-            match_and_replay(egraph, &plan, limits, &mut applied, &mut stats, tracer);
+            match_and_replay(egraph, set, plan, limits, &mut applied, &mut stats, tracer);
         stats.instances = instances.len();
         let apply_start = Instant::now();
-        apply_instances(egraph, &plan, instances, &mut report)?;
+        apply_instances(egraph, set, instances, &mut report)?;
         let apply_time = apply_start.elapsed();
         if stats.instances > 0 {
             any_change = true;
@@ -474,17 +491,18 @@ fn emit_egraph_stats(
 /// replay took.
 fn match_and_replay(
     egraph: &EGraph,
+    set: &AxiomSet,
     plan: &PhasePlan,
     limits: &SaturationLimits,
     applied: &mut [SeededSet<Subst>],
     stats: &mut RoundStats,
     tracer: &Tracer,
 ) -> (Vec<(usize, Subst)>, bool, Duration) {
-    let axioms = plan.axioms;
-    // Per-axiom trace counters, accumulated alongside the round stats
-    // and emitted as `ematch.axiom` events after the serial replay.
-    let mut axiom_scanned = vec![0u64; axioms.len()];
-    let mut axiom_matches = vec![0u64; axioms.len()];
+    // Per-axiom trace counters by set index, accumulated alongside the
+    // round stats and emitted as `ematch.axiom` events after the serial
+    // replay.
+    let mut axiom_scanned = vec![0u64; set.len()];
+    let mut axiom_matches = vec![0u64; set.len()];
     // Triggers with the same index key share one candidate list.
     let head_candidates: Vec<Vec<ClassId>> = plan
         .heads
@@ -513,8 +531,8 @@ fn match_and_replay(
         axiom_scanned[axiom_idx] += cands.len() as u64;
 
         let match_start = Instant::now();
-        let axiom = &axioms[axiom_idx];
-        let axiom_plan = &plan.axiom_plans[axiom_idx];
+        let axiom = &set.axioms()[axiom_idx];
+        let axiom_plan = set.plan(axiom_idx);
         let structural = axiom.priority == AxiomPriority::Structural;
         if pi == 0 || plan.triggers[pi - 1].axiom != axiom_idx {
             queued.clear();
@@ -525,7 +543,7 @@ fn match_and_replay(
         if trigger.fires && !(structural && full(&queued)) {
             let _ = ematch_classes_with(
                 egraph,
-                trigger.pattern,
+                &trigger.pattern,
                 &axiom_plan.vars,
                 cands,
                 |_, subst| {
@@ -564,17 +582,18 @@ fn match_and_replay(
     }
 
     #[cfg(test)]
-    let oracle = tests::replay_everything(egraph, plan, limits, applied);
+    let oracle = tests::replay_everything(egraph, set, plan, limits, applied);
     let replay_start = Instant::now();
-    let (instances, truncated, axiom_applied) = replay(axioms, limits, per_pattern, applied);
+    let (instances, truncated, axiom_applied) = replay(set, plan, limits, per_pattern, applied);
     let replay_time = replay_start.elapsed();
     #[cfg(test)]
-    tests::assert_round_matches_oracle(oracle, plan, &instances, truncated, applied);
+    tests::assert_round_matches_oracle(oracle, set, &instances, truncated, applied);
     // Per-axiom round summary, in axiom order (quiet axioms omitted).
-    for (i, axiom) in axioms.iter().enumerate() {
+    for &i in &plan.members {
         if axiom_scanned[i] == 0 && axiom_matches[i] == 0 && axiom_applied[i] == 0 {
             continue;
         }
+        let axiom = &set.axioms()[i];
         tracer.event("ematch.axiom", || {
             vec![
                 field("axiom", axiom.name.clone()),
@@ -610,21 +629,24 @@ fn admits(egraph: &EGraph, axiom: &Axiom, condition: &[usize], subst: &Subst) ->
 /// Structural (associativity-style) instances are budgeted and shared
 /// fairly across axioms so they cannot starve each other or blow the
 /// e-graph up. Returns the instances to apply, whether a budget
-/// truncated work, and the instances applied per axiom. A match is its
-/// own key (`S` is [`Subst`]; the tests replay the substitutions of
-/// the matcher before numbered slots through the same code).
+/// truncated work, and the instances applied per axiom (by set index,
+/// like `applied`). A match is its own key (`S` is [`Subst`]; the tests
+/// replay the substitutions of the matcher before numbered slots
+/// through the same code).
 fn replay<S: Clone + Eq + Hash>(
-    axioms: &[&Axiom],
+    set: &AxiomSet,
+    plan: &PhasePlan,
     limits: &SaturationLimits,
     per_pattern: Vec<Vec<S>>,
     applied: &mut [SeededSet<S>],
 ) -> (Vec<(usize, S)>, bool, Vec<u64>) {
-    let mut axiom_applied = vec![0u64; axioms.len()];
+    let mut axiom_applied = vec![0u64; set.len()];
     let mut truncated = false;
     let mut instances: Vec<(usize, S)> = Vec::new();
     let mut structural_queues: Vec<Vec<(usize, S)>> = Vec::new();
     let mut results = per_pattern.into_iter();
-    'axioms: for (i, axiom) in axioms.iter().enumerate() {
+    'axioms: for &i in &plan.members {
+        let axiom = &set.axioms()[i];
         let is_structural = axiom.priority == AxiomPriority::Structural;
         let mut queue = Vec::new();
         for _ in &axiom.patterns {
@@ -693,13 +715,13 @@ fn replay<S: Clone + Eq + Hash>(
 /// Asserts a batch of axiom instances into the e-graph.
 fn apply_instances(
     egraph: &mut EGraph,
-    plan: &PhasePlan,
+    set: &AxiomSet,
     instances: Vec<(usize, Subst)>,
     report: &mut SaturationReport,
 ) -> Result<(), EGraphError> {
     for (i, subst) in instances {
-        let axiom = &plan.axioms[i];
-        let vars = &plan.axiom_plans[i].vars;
+        let axiom = &set.axioms()[i];
+        let vars = &set.plan(i).vars;
         match &axiom.body {
             AxiomBody::Equal(lhs, rhs) => {
                 let l = egraph.add_instantiation(lhs, vars, &subst)?;
@@ -751,7 +773,6 @@ pub fn class_ops(egraph: &EGraph, class: ClassId) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::axiom::Axiom;
-    use denali_egraph::EGraphErrorKind;
     use denali_prng::{forall, Rng};
     use denali_trace::{Record, Value};
 
@@ -867,33 +888,37 @@ mod tests {
     /// mapped back through each axiom's variable table.
     pub(super) fn replay_everything(
         egraph: &EGraph,
+        set: &AxiomSet,
         plan: &PhasePlan,
         limits: &SaturationLimits,
         applied: &[SeededSet<Subst>],
     ) -> Round {
-        let mut applied = old_applied(plan, applied);
+        let mut applied = old_applied(set, applied);
         let per_pattern = plan
             .triggers
             .iter()
             .map(|trigger| {
-                let axiom = &plan.axioms[trigger.axiom];
-                let cands = candidates(egraph, trigger.pattern);
-                old_ematch(egraph, trigger.pattern, &cands)
+                let axiom = &set.axioms()[trigger.axiom];
+                let cands = candidates(egraph, &trigger.pattern);
+                old_ematch(egraph, &trigger.pattern, &cands)
                     .into_iter()
                     .filter(|s| old_admits(egraph, axiom, s))
                     .map(|s| s.into_iter().map(|(v, c)| (v, egraph.find(c))).collect())
                     .collect()
             })
             .collect();
-        let (instances, truncated, _) = replay(plan.axioms, limits, per_pattern, &mut applied);
+        let (instances, truncated, _) = replay(set, plan, limits, per_pattern, &mut applied);
         (instances, truncated, applied)
     }
 
-    fn old_applied(plan: &PhasePlan, applied: &[SeededSet<Subst>]) -> Vec<SeededSet<OldSubst>> {
+    fn old_applied(set: &AxiomSet, applied: &[SeededSet<Subst>]) -> Vec<SeededSet<OldSubst>> {
         applied
             .iter()
-            .zip(&plan.axiom_plans)
-            .map(|(set, plan)| set.iter().map(|s| old_subst(s, &plan.vars)).collect())
+            .enumerate()
+            .map(|(i, substs)| {
+                let vars = &set.plan(i).vars;
+                substs.iter().map(|s| old_subst(s, vars)).collect()
+            })
             .collect()
     }
 
@@ -902,18 +927,18 @@ mod tests {
     /// against [`replay_everything`].
     pub(super) fn assert_round_matches_oracle(
         oracle: Round,
-        plan: &PhasePlan,
+        set: &AxiomSet,
         instances: &[(usize, Subst)],
         truncated: bool,
         applied: &[SeededSet<Subst>],
     ) {
         let instances: Vec<(usize, OldSubst)> = instances
             .iter()
-            .map(|&(i, subst)| (i, old_subst(&subst, &plan.axiom_plans[i].vars)))
+            .map(|&(i, subst)| (i, old_subst(&subst, &set.plan(i).vars)))
             .collect();
         assert_eq!(oracle.0, instances, "applied instance sequence");
         assert_eq!(oracle.1, truncated, "truncated flag");
-        assert!(oracle.2 == old_applied(plan, applied), "applied sets");
+        assert!(oracle.2 == old_applied(set, applied), "applied sets");
     }
 
     /// Limits whose structural budget is small enough that most
@@ -933,7 +958,7 @@ mod tests {
 
     /// Saturates the goal terms of one GMA, as the matching phase does,
     /// and returns how many of its rounds were truncated.
-    fn saturate_goals(goals: &[Term], axioms: &[Axiom], limits: &SaturationLimits) -> usize {
+    fn saturate_goals(goals: &[Term], axioms: &AxiomSet, limits: &SaturationLimits) -> usize {
         let mut eg = EGraph::new();
         for goal in goals {
             eg.add_term(goal).unwrap();
@@ -1016,10 +1041,11 @@ mod tests {
         for file in &files {
             let source = std::fs::read_to_string(file).unwrap();
             let program = denali_lang::parse_program(&source).unwrap();
-            let mut axioms = crate::builtin::axioms_for("ev6");
+            let mut axioms = crate::builtin::axioms_for("ev6").axioms().to_vec();
             for (i, form) in program.axiom_forms.iter().enumerate() {
                 axioms.push(Axiom::parse_sexpr(form, &format!("axiom-{i}")).unwrap());
             }
+            let axioms = set(axioms);
             for proc in &program.procs {
                 for gma in denali_lang::lower_proc(proc).unwrap() {
                     let goals: Vec<Term> = gma
@@ -1041,6 +1067,10 @@ mod tests {
         Term::from_sexpr(&denali_term::sexpr::parse_one(s).unwrap(), &vars).unwrap()
     }
 
+    fn set(axioms: Vec<Axiom>) -> AxiomSet {
+        AxiomSet::new(axioms).unwrap()
+    }
+
     #[test]
     fn commutativity_doubles_the_class() {
         let mut eg = EGraph::new();
@@ -1051,7 +1081,7 @@ mod tests {
             pat("(add64 a b)", &["a", "b"]),
             pat("(add64 b a)", &["a", "b"]),
         );
-        let report = saturate(&mut eg, &[comm], &SaturationLimits::default()).unwrap();
+        let report = saturate(&mut eg, &set(vec![comm]), &SaturationLimits::default()).unwrap();
         assert!(report.saturated);
         assert!(report.instances >= 1);
         assert_eq!(eg.nodes(sum).len(), 2);
@@ -1071,7 +1101,7 @@ mod tests {
             pat("a", &["a"]),
         )
         .with_condition(&["c"], "c == 0", |vs| vs[0] == 0);
-        saturate(&mut eg, &[ax], &SaturationLimits::default()).unwrap();
+        saturate(&mut eg, &set(vec![ax]), &SaturationLimits::default()).unwrap();
         assert_eq!(eg.find(fold), eg.find(x));
         assert_ne!(eg.find(keep), eg.find(x));
     }
@@ -1087,7 +1117,7 @@ mod tests {
             pat("(shl64 k n)", &["k", "n"]),
         )
         .with_condition(&["n"], "n < 64", |vs| vs[0] < 64);
-        saturate(&mut eg, &[shift_ax], &SaturationLimits::default()).unwrap();
+        saturate(&mut eg, &set(vec![shift_ax]), &SaturationLimits::default()).unwrap();
         let ops = class_ops(&eg, mul);
         assert!(ops.contains(&"shl64".to_owned()), "ops: {ops:?}");
     }
@@ -1096,7 +1126,7 @@ mod tests {
     fn quiescence_is_reached_and_reported() {
         let mut eg = EGraph::new();
         eg.add_term(&pat("(add64 a (add64 b c))", &[])).unwrap();
-        let axioms = crate::builtin::math_axioms();
+        let axioms = set(crate::builtin::math_axioms());
         let report = saturate(&mut eg, &axioms, &SaturationLimits::default()).unwrap();
         assert!(report.saturated, "report: {report:?}");
         assert_eq!(
@@ -1120,7 +1150,7 @@ mod tests {
             max_nodes: 200,
             ..SaturationLimits::default()
         };
-        let report = saturate(&mut eg, &crate::builtin::math_axioms(), &limits).unwrap();
+        let report = saturate(&mut eg, &set(crate::builtin::math_axioms()), &limits).unwrap();
         assert!(!report.saturated);
     }
 
@@ -1128,10 +1158,10 @@ mod tests {
     fn an_instance_budget_filled_in_the_last_pattern_truncates_the_round() {
         // F, the phase's last axiom, fills the budget of two instances
         // with its own two matches; the round's span must say truncated.
-        let axioms = [
+        let axioms = set(vec![
             Axiom::equality("P", &["a"], pat("(p (g a))", &["a"]), pat("(q a)", &["a"])),
             Axiom::equality("F", &["a"], pat("(f a)", &["a"]), pat("(g (t a))", &["a"])),
-        ];
+        ]);
         let limits = SaturationLimits {
             max_instances_per_round: 2,
             ..SaturationLimits::default()
@@ -1152,7 +1182,7 @@ mod tests {
         assert_ne!(eg.find(loaded), eg.find(direct));
         saturate(
             &mut eg,
-            &crate::builtin::math_axioms(),
+            &set(crate::builtin::math_axioms()),
             &SaturationLimits::default(),
         )
         .unwrap();
@@ -1165,7 +1195,7 @@ mod tests {
         // not). (h a) leaves the body's b unbound and (f a) the side
         // condition's k: both have candidates, neither is matched, and
         // the round's oracle, which still tests every match, agrees.
-        let axioms = [
+        let axioms = set(vec![
             Axiom::equality("C", &["a", "k"], pat("(f a)", &["a"]), pat("(g a)", &["a"]))
                 .with_pattern(pat("(p a k)", &["a", "k"]))
                 .with_condition(&["k"], "k == 1", |vs| vs[0] == 1),
@@ -1176,7 +1206,7 @@ mod tests {
                 pat("(r a)", &["a"]),
             )
             .with_pattern(pat("(h a)", &["a"])),
-        ];
+        ]);
         let mut eg = EGraph::new();
         let goals = ["(f x)", "(p x 1)", "(h x)", "(q x y)", "(g x)", "(r x)"];
         let ids: Vec<ClassId> = goals
@@ -1224,26 +1254,10 @@ mod tests {
         let goal = eg
             .add_term(&pat("(f8 x0 x1 x2 x3 x4 x5 x6 x7)", &[]))
             .unwrap();
-        let report = saturate(&mut eg, &[rot], &SaturationLimits::default()).unwrap();
+        let report = saturate(&mut eg, &set(vec![rot]), &SaturationLimits::default()).unwrap();
         assert!(report.saturated);
         assert_eq!(report.instances, 16);
         assert_eq!(eg.nodes(goal).len(), 8);
-    }
-
-    #[test]
-    fn a_nine_variable_axiom_is_a_typed_error() {
-        let vars = ["a", "b", "c", "d", "e", "f", "g", "h", "i"];
-        let wide = Axiom::equality(
-            "f9-g9",
-            &vars,
-            pat("(f9 a b c d e f g h i)", &vars),
-            pat("(g9 a b c d e f g h i)", &vars),
-        );
-        let mut eg = EGraph::new();
-        eg.add_term(&pat("(f9 x x x x x x x x x)", &[])).unwrap();
-        let err = saturate(&mut eg, &[wide], &SaturationLimits::default()).unwrap_err();
-        assert_eq!(err.kind(), EGraphErrorKind::TooManyVariables);
-        assert!(err.to_string().contains("f9-g9"), "{err}");
     }
 
     #[test]
@@ -1257,7 +1271,13 @@ mod tests {
         }
         let ax = Axiom::equality("f-g", &["a"], pat("(f a)", &["a"]), pat("(g a)", &["a"]));
         let tracer = Tracer::new();
-        saturate_traced(&mut eg, &[ax], &SaturationLimits::default(), &tracer).unwrap();
+        saturate_traced(
+            &mut eg,
+            &set(vec![ax]),
+            &SaturationLimits::default(),
+            &tracer,
+        )
+        .unwrap();
         let records = tracer.records();
         let first_round = records
             .iter()

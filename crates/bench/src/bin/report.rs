@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use denali_arch::Machine;
-use denali_axioms::{alpha_axioms, math_axioms, saturate, SaturationLimits};
+use denali_axioms::{axioms_for, math_axioms, saturate, AxiomSet, SaturationLimits};
 use denali_baseline::{brute_search, rewrite_compile, BruteConfig};
 use denali_bench::{compile_checked, default_denali, egraph_legs, programs};
 use denali_core::encode::{encode, Rules};
@@ -96,9 +96,7 @@ fn e1_matching() {
             vec![Term::leaf("reg6"), Term::constant(4)],
         ))
         .unwrap();
-    let mut axioms = math_axioms();
-    axioms.extend(alpha_axioms());
-    let report = saturate(&mut eg, &axioms, &SaturationLimits::default()).unwrap();
+    let report = saturate(&mut eg, &axioms_for("ev6"), &SaturationLimits::default()).unwrap();
     let goal_ops = denali_axioms::class_ops(&eg, goal);
     let mul_ops = denali_axioms::class_ops(&eg, mul);
     println!(
@@ -145,8 +143,9 @@ fn e2_ac_ways() {
         max_iterations: 24,
         ..SaturationLimits::default()
     };
+    let axioms = AxiomSet::new(math_axioms()).unwrap();
     let t = Instant::now();
-    let report = saturate(&mut eg, &math_axioms(), &limits).unwrap();
+    let report = saturate(&mut eg, &axioms, &limits).unwrap();
     let ways = eg.count_ways(sum, 8);
     println!(
         "    measured: {ways} ways (depth 8), {} nodes, {} classes, {:?}\n",

@@ -103,7 +103,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use denali_arch::Simulator;
-use denali_axioms::{math_axioms, saturate, SaturationLimits};
+use denali_axioms::{math_axioms, saturate, AxiomSet, SaturationLimits};
 use denali_core::{CompileResult, CompiledGma, Denali, Options};
 use denali_egraph::{EGraph, MemoryStats, OpCounts};
 use denali_term::value::Env;
@@ -272,10 +272,11 @@ fn chain_leg() -> EgraphLeg {
         max_iterations: 24,
         ..SaturationLimits::default()
     };
+    let axioms = AxiomSet::new(math_axioms()).unwrap();
     let mut eg = EGraph::new();
     eg.add_term(&term).unwrap();
     let start = Instant::now();
-    saturate(&mut eg, &math_axioms(), &limits).unwrap();
+    saturate(&mut eg, &axioms, &limits).unwrap();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     EgraphLeg {
         name: "e2_chain",

@@ -1,9 +1,10 @@
 //! The end-to-end Denali pipeline.
 
 use std::fmt;
+use std::sync::Arc;
 
 use denali_arch::Machine;
-use denali_axioms::{Axiom, SaturationLimits, SaturationReport};
+use denali_axioms::{Axiom, AxiomSet, SaturationLimits, SaturationReport};
 use denali_lang::{lower_proc, parse_program, Gma, SourceProgram};
 use denali_par::CancelToken;
 
@@ -225,9 +226,13 @@ fn stage_err<E: fmt::Display>(stage: &'static str) -> impl Fn(E) -> CompileError
 }
 
 /// A procedure readied for compilation: parsed, lowered to GMAs, with
-/// its full axiom set assembled (built-ins, [`Options::extra_axioms`],
-/// and the program's own axiom forms) and loop loads pipelined when
-/// [`Options::pipeline_loads`] is set.
+/// its axiom set in hand and loop loads pipelined when
+/// [`Options::pipeline_loads`] is set. The set is the machine's shared
+/// built-in set ([`denali_axioms::axioms_for`]) unless
+/// [`Options::extra_axioms`] or the program's own axiom forms add to
+/// it; then it is a set of its own, the built-ins followed by the extra
+/// axioms and then the program's, built once for the procedure and
+/// shared by its GMAs.
 ///
 /// This is the front half of [`Denali::compile_proc`], split out so a
 /// caller can [`Denali::fingerprint`] the work before paying for it —
@@ -238,8 +243,8 @@ pub struct Prepared {
     pub name: String,
     /// The lowered GMAs, in program order.
     pub gmas: Vec<Gma>,
-    /// Every axiom the matcher will use.
-    pub axioms: Vec<Axiom>,
+    /// Every axiom the matcher will use, with its plans and key text.
+    pub axioms: Arc<AxiomSet>,
 }
 
 /// The Denali superoptimizer façade.
@@ -356,7 +361,9 @@ impl Denali {
     ///
     /// # Errors
     ///
-    /// Reports the failing stage: parsing, axiom parsing, or lowering.
+    /// Reports the failing stage: parsing, axioms (a form that does not
+    /// parse, or an extra axiom with more variables than a match can
+    /// bind), or lowering.
     pub fn prepare_source(&self, source: &str) -> Result<Prepared, CompileError> {
         let program = parse_program(source).map_err(stage_err("parse"))?;
         let first = program
@@ -385,14 +392,20 @@ impl Denali {
             stage: "parse",
             message: format!("no procedure named {name}"),
         })?;
-        let mut axioms = denali_axioms::axioms_for(self.options.machine.name());
-        axioms.extend(self.options.extra_axioms.iter().cloned());
-        for (i, form) in program.axiom_forms.iter().enumerate() {
-            axioms.push(
-                Axiom::parse_sexpr(form, &format!("{name}-axiom-{i}"))
-                    .map_err(stage_err("axiom"))?,
-            );
-        }
+        let builtins = denali_axioms::axioms_for(self.options.machine.name());
+        let axioms = if self.options.extra_axioms.is_empty() && program.axiom_forms.is_empty() {
+            builtins
+        } else {
+            let mut axioms = builtins.axioms().to_vec();
+            axioms.extend(self.options.extra_axioms.iter().cloned());
+            for (i, form) in program.axiom_forms.iter().enumerate() {
+                axioms.push(
+                    Axiom::parse_sexpr(form, &format!("{name}-axiom-{i}"))
+                        .map_err(stage_err("axiom"))?,
+                );
+            }
+            Arc::new(AxiomSet::new(axioms).map_err(stage_err("axiom"))?)
+        };
         let mut gmas = lower_proc(proc).map_err(stage_err("lower"))?;
         if self.options.pipeline_loads {
             // Transform every loop body, pairing it with the preceding
@@ -456,7 +469,7 @@ impl Denali {
     /// # Errors
     ///
     /// As [`Denali::compile_source`].
-    pub fn compile_gma(&self, gma: Gma, axioms: &[Axiom]) -> Result<CompiledGma, CompileError> {
+    pub fn compile_gma(&self, gma: Gma, axioms: &AxiomSet) -> Result<CompiledGma, CompileError> {
         self.check_cancelled()?;
         let tracer = &self.tracer;
         // One root span per GMA; its phase children are the trace's

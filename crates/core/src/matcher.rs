@@ -1,6 +1,6 @@
 //! The matching phase: GMA goals → saturated E-graph.
 
-use denali_axioms::{saturate_traced, Axiom, SaturationLimits, SaturationReport};
+use denali_axioms::{saturate_traced, AxiomSet, SaturationLimits, SaturationReport};
 use denali_egraph::{ClassId, EGraph, EGraphError};
 use denali_lang::Gma;
 use denali_term::Term;
@@ -46,15 +46,15 @@ impl Matched {
 
 /// Runs the matching phase of Figure 1: builds the initial e-graph from
 /// the GMA's goal expressions and saturates it with `axioms` (the
-/// target's axiom set — see [`denali_axioms::axioms_for`] — plus any
-/// program-specific axioms).
+/// target's built-in set — see [`denali_axioms::axioms_for`] — or a set
+/// of those plus the program-specific axioms).
 ///
 /// # Errors
 ///
 /// Propagates e-graph contradictions (unsound axioms).
 pub fn match_gma(
     gma: &Gma,
-    axioms: &[Axiom],
+    axioms: &AxiomSet,
     limits: &SaturationLimits,
 ) -> Result<Matched, EGraphError> {
     match_gma_traced(gma, axioms, limits, &Tracer::disabled())
@@ -69,7 +69,7 @@ pub fn match_gma(
 /// Propagates e-graph contradictions (unsound axioms).
 pub fn match_gma_traced(
     gma: &Gma,
-    axioms: &[Axiom],
+    axioms: &AxiomSet,
     limits: &SaturationLimits,
     tracer: &Tracer,
 ) -> Result<Matched, EGraphError> {
@@ -174,9 +174,10 @@ mod tests {
             "(axiom (forall (a b) (eq (carry a b) (cmpult (add64 a b) a))))",
         )
         .unwrap();
-        let axiom = Axiom::parse_sexpr(&axiom_form, "carry-def").unwrap();
-        let mut axioms = denali_axioms::axioms_for("ev6");
+        let axiom = denali_axioms::Axiom::parse_sexpr(&axiom_form, "carry-def").unwrap();
+        let mut axioms = denali_axioms::axioms_for("ev6").axioms().to_vec();
         axioms.push(axiom);
+        let axioms = AxiomSet::new(axioms).unwrap();
         let m_with = match_gma(&gma, &axioms, &SaturationLimits::default()).unwrap();
         let ops: Vec<String> = m_with
             .egraph

@@ -180,6 +180,36 @@ fn prepare_then_compile_matches_compile_source() {
     );
 }
 
+/// Procedures without axioms of their own share the machine's one
+/// built-in set; a procedure with some gets a set of its own: the
+/// built-ins, then its axioms in source order.
+#[test]
+fn prepared_procedures_share_the_built_in_axiom_set() {
+    use std::sync::Arc;
+    let denali = Denali::new(Options::default());
+    let program = denali::parse(TWO_PROCS);
+    let first = denali.prepare_proc(&program, "first").unwrap();
+    let second = denali.prepare_proc(&program, "second").unwrap();
+    let builtins = denali_axioms::axioms_for("ev6");
+    assert!(Arc::ptr_eq(&first.axioms, &second.axioms));
+    assert!(Arc::ptr_eq(&first.axioms, &builtins));
+
+    let own = denali
+        .prepare_source(
+            "(\\axiom (forall (a b) (pats (carry a b)) (eq (carry a b) (\\cmpult (\\add64 a b) a))))
+             (\\axiom (forall (a b) (pats (carry a b)) (eq (carry a b) (\\cmpult (\\add64 a b) b))))
+             (\\procdecl f ((a long) (b long)) long (:= (\\res (carry a b))))",
+        )
+        .unwrap();
+    assert!(!Arc::ptr_eq(&own.axioms, &builtins));
+    let names = |axioms: &[denali_axioms::Axiom]| -> Vec<String> {
+        axioms.iter().map(|a| a.name.clone()).collect()
+    };
+    let mut want = names(builtins.axioms());
+    want.extend(["f-axiom-0".to_owned(), "f-axiom-1".to_owned()]);
+    assert_eq!(names(own.axioms.axioms()), want);
+}
+
 #[test]
 fn solver_stats_and_times_are_recorded() {
     let pipeline = Denali::new(Options {
