@@ -38,11 +38,11 @@
 //!   client always gets *a* correct program.
 //! * **Metrics** ([`metrics`]) — one registry per server holds every
 //!   request/outcome counter, the cache and coalescer counters and
-//!   gauges, queue depth, and per-stage (queue, cache, coalesce,
-//!   execute, total) and per-outcome latency histograms. Each counter
-//!   is incremented where its event happens; the registry renders the
-//!   Prometheus text exposition for `denali serve --metrics-addr` (see
-//!   `denali_metrics`).
+//!   gauges, queue depth, and per-stage (prepare, queue, cache,
+//!   coalesce, execute, total) and per-outcome latency histograms. Each
+//!   counter is incremented where its event happens; the registry
+//!   renders the Prometheus text exposition for `denali serve
+//!   --metrics-addr` (see `denali_metrics`).
 //! * **Stats** ([`stats`]) — a `stats` request reads the same handles:
 //!   counters, cache and coalescer gauges, queue depth, uptime, and
 //!   (schema v2) per-stage/per-outcome latency quantiles. Every request

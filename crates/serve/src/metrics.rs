@@ -18,9 +18,9 @@ use std::time::Instant;
 
 use denali_metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
-/// The five stages a pooled compile passes through; `total` spans
-/// admission to response.
-const STAGES: [&str; 5] = ["queue", "cache", "coalesce", "execute", "total"];
+/// The stages a pooled compile passes through; `total` spans admission
+/// to response.
+const STAGES: [&str; 6] = ["prepare", "queue", "cache", "coalesce", "execute", "total"];
 
 /// The five terminal outcomes latency is classified by. `coalesced` is
 /// an overlay — a coalesced request records under its outcome *and*
@@ -32,6 +32,11 @@ const OUTCOMES: [&str; 5] = ["ok", "hit", "degraded", "error", "coalesced"];
 pub struct ServeMetrics {
     registry: Registry,
     started: Instant,
+    /// Time preparing a compile request (option merge, parse, lower,
+    /// fingerprint), on the transports' reader thread before the
+    /// request can be admitted; every compile line, preparation errors
+    /// included.
+    pub stage_prepare: Arc<Histogram>,
     /// Time from admission to the start of leader execution (pooled
     /// paths only; the synchronous test path has no queue).
     pub stage_queue: Arc<Histogram>,
@@ -125,11 +130,12 @@ impl ServeMetrics {
         };
         ServeMetrics {
             started: Instant::now(),
-            stage_queue: stage(STAGES[0]),
-            stage_cache: stage(STAGES[1]),
-            stage_coalesce: stage(STAGES[2]),
-            stage_execute: stage(STAGES[3]),
-            stage_total: stage(STAGES[4]),
+            stage_prepare: stage(STAGES[0]),
+            stage_queue: stage(STAGES[1]),
+            stage_cache: stage(STAGES[2]),
+            stage_coalesce: stage(STAGES[3]),
+            stage_execute: stage(STAGES[4]),
+            stage_total: stage(STAGES[5]),
             queue_depth: registry.gauge(
                 "denali_serve_queue_depth",
                 "Jobs admitted to the pool but not yet started",
@@ -248,6 +254,7 @@ impl ServeMetrics {
             )
         };
         let stages = [
+            &self.stage_prepare,
             &self.stage_queue,
             &self.stage_cache,
             &self.stage_coalesce,

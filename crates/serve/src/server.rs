@@ -18,8 +18,11 @@
 //! [`dispatch`] runs on the reader thread and splits a compile into two
 //! halves. **Preparation** (option merge, parse, lower, fingerprint) is
 //! cheap and runs inline — it must, because the fingerprint is the
-//! coalescing key. **Execution** (the SAT-probe ladder) is expensive
-//! and goes through [`Coalescer::join`]:
+//! coalescing key. It takes the machine's shared built-in axiom set
+//! rather than building one, and the key hashes that set's
+//! pre-rendered text; its time is the `prepare` stage. **Execution**
+//! (the SAT-probe ladder) is expensive and goes through
+//! [`Coalescer::join`]:
 //!
 //! * the **leader** — first request for a fingerprint — occupies a
 //!   worker slot via the pool, re-checks the cache (a previous leader
@@ -295,7 +298,7 @@ impl Server {
     /// * **always an answer**: every outcome, including internal
     ///   errors, renders a well-formed response correlated by id.
     pub fn handle_compile(&self, req: &CompileRequest, admitted: Instant) -> String {
-        let ctx = match self.prepare_request(req) {
+        let ctx = match self.timed_prepare(req, admitted) {
             Ok(ctx) => ctx,
             Err(response) => return response,
         };
@@ -315,13 +318,31 @@ impl Server {
         body
     }
 
+    /// [`Server::prepare_request`] timed into the `prepare` stage
+    /// histogram, whatever its outcome.
+    fn timed_prepare(
+        &self,
+        req: &CompileRequest,
+        admitted: Instant,
+    ) -> Result<PreparedRequest, String> {
+        let started = Instant::now();
+        let prepared = self.prepare_request(req, admitted);
+        self.metrics.stage_prepare.observe(us(started.elapsed()));
+        prepared
+    }
+
     /// The cheap, uncancellable half of a compile: option merge, parse,
     /// lower, fingerprint. Runs inline on the caller (for the pooled
     /// path: the reader thread) because the fingerprint is both the
     /// cache key and the coalescing key. On failure the full response
     /// line is returned as `Err` — preparation errors are answered
-    /// immediately, never queued.
-    fn prepare_request(&self, req: &CompileRequest) -> Result<PreparedRequest, String> {
+    /// immediately, never queued, and their `total` counts from
+    /// `admitted` like every other response's.
+    fn prepare_request(
+        &self,
+        req: &CompileRequest,
+        admitted: Instant,
+    ) -> Result<PreparedRequest, String> {
         let mut options = self.config.base.clone();
         if let Err(e) = req.options.apply(&mut options) {
             return Err(self.protocol_error(&e.message));
@@ -350,7 +371,7 @@ impl Server {
                 self.metrics.compile_errors.inc();
                 Err(self.finish(
                     &req.id,
-                    Instant::now(),
+                    admitted,
                     "error",
                     false,
                     None,
@@ -865,7 +886,7 @@ fn dispatch<W: Write + Send + 'static>(
         ),
         Ok(Request::Compile(req)) => {
             let admitted = Instant::now();
-            let ctx = match server.prepare_request(&req) {
+            let ctx = match server.timed_prepare(&req, admitted) {
                 Ok(ctx) => Arc::new(ctx),
                 Err(response) => {
                     write_line(out, &response);

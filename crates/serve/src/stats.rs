@@ -21,13 +21,14 @@ impl ServeMetrics {
     /// Schema v2 = v1 plus the `schema` tag and the `latency` section;
     /// v3 = v2 plus the `stoke` section (anytime harvests and
     /// stochastic-engine compiles), both strictly additive; v4 = v3
-    /// minus the `portfolio` section (SAT probes are no longer raced).
+    /// minus the `portfolio` section (SAT probes are no longer raced);
+    /// v5 = v4 plus the `prepare` latency stage, strictly additive.
     /// The migration notes are in `docs/SERVER.md`.
     pub fn stats_body(&self, cache: &CacheSnapshot, coalesce: &CoalesceSnapshot) -> String {
         format!(
             concat!(
                 "\"status\":\"ok\",",
-                "\"schema\":\"denali-serve-stats-v4\",",
+                "\"schema\":\"denali-serve-stats-v5\",",
                 "\"uptime_ms\":{},",
                 "\"requests\":{},",
                 "\"compiles\":{{\"ok\":{},\"degraded\":{},\"error\":{}}},",
@@ -115,7 +116,7 @@ mod tests {
         let v = json::parse(&line).unwrap();
         assert_eq!(
             v.get("schema").and_then(Json::as_str),
-            Some("denali-serve-stats-v4")
+            Some("denali-serve-stats-v5")
         );
         assert!(
             v.get("latency").and_then(|l| l.get("stages")).is_some(),

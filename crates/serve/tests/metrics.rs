@@ -7,13 +7,15 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use denali_axioms::SaturationLimits;
 use denali_core::Options;
 use denali_metrics::RESOLUTION;
-use denali_serve::server::serve_listener;
+use denali_serve::pool::Pool;
+use denali_serve::protocol::{self, Request};
+use denali_serve::server::{serve_lines, serve_listener};
 use denali_serve::{Server, ServerConfig};
 use denali_trace::json::{self, Json};
 use denali_trace::{jsonl, report};
@@ -83,9 +85,9 @@ fn stage_histograms_sum_consistently_with_the_stats_counters() {
     let v = json::parse(&stats).unwrap();
     assert_eq!(
         v.get("schema").and_then(Json::as_str),
-        Some("denali-serve-stats-v4")
+        Some("denali-serve-stats-v5")
     );
-    let latency = v.get("latency").expect("v4 stats carry latency");
+    let latency = v.get("latency").expect("v5 stats carry latency");
 
     // Every compile response got exactly one total-latency observation,
     // and the outcome histograms partition it (coalesced is recorded in
@@ -114,6 +116,10 @@ fn stage_histograms_sum_consistently_with_the_stats_counters() {
     // The cache-lookup histogram counts exactly hits + misses.
     let cache = server.cache().snapshot();
     assert_eq!(count(latency, "stages", "cache"), cache.hits + cache.misses);
+
+    // Every compile line is prepared once, the one that fails to parse
+    // included.
+    assert_eq!(count(latency, "stages", "prepare"), total);
 
     // Direct histogram reads agree with the JSON (same snapshots).
     let metrics = server.metrics();
@@ -201,6 +207,64 @@ fn stage_histograms_sum_consistently_with_the_stats_counters() {
     assert_eq!(field("protocol_errors"), 1);
     assert_eq!(field("compiles.degraded"), 1);
     assert!(field("egraph.nodes") > 0);
+}
+
+#[test]
+fn preparation_is_a_stage_on_both_paths_and_its_errors_count_from_admission() {
+    let server = Arc::new(
+        Server::new(ServerConfig {
+            base: fast_options(),
+            ..ServerConfig::default()
+        })
+        .unwrap(),
+    );
+    let prepared = |server: &Server| server.metrics().stage_prepare.snapshot().count();
+
+    // The pooled path: the reader thread prepares each compile line,
+    // a miss, a coalesced or cached duplicate and a parse error alike;
+    // pings and stats are not prepared.
+    let input = [
+        compile_line("a", SOURCE, ""),
+        compile_line("b", SOURCE, ""),
+        compile_line("bad", "((((", ""),
+        r#"{"type":"ping","id":1}"#.to_owned(),
+    ]
+    .join("\n");
+    let pool = Pool::new(1, 8);
+    let out = Arc::new(Mutex::new(Vec::new()));
+    serve_lines(&server, &pool, input.as_bytes(), &out).unwrap();
+    drop(pool);
+    server.drain_followers();
+    assert_eq!(prepared(&server), 3);
+
+    // The synchronous path prepares too.
+    server.handle_line(&compile_line("c", SOURCE, "")).unwrap();
+    assert_eq!(prepared(&server), 4);
+
+    // A preparation error's total counts from its admission, not from
+    // the moment preparation failed: admitted 50 ms ago, it reads at
+    // least 50 ms.
+    let Ok(Request::Compile(req)) = protocol::parse_request(&compile_line("late", "((((", ""))
+    else {
+        panic!("a compile request")
+    };
+    let response = server.handle_compile(&req, Instant::now() - Duration::from_millis(50));
+    assert!(response.contains(r#""stage":"parse""#), "{response}");
+    let entries = server.flight().entries();
+    let late = entries.last().unwrap();
+    assert_eq!(late.outcome, "error");
+    assert!(late.total_us >= 50_000, "total {} us", late.total_us);
+    assert_eq!(prepared(&server), 5);
+
+    // The stats body and the exposition report the same stage.
+    let stats = server.handle_line(r#"{"type":"stats","id":2}"#).unwrap();
+    let v = json::parse(&stats).unwrap();
+    assert_eq!(count(v.get("latency").unwrap(), "stages", "prepare"), 5);
+    let text = server.metrics_text();
+    assert_eq!(
+        sample(&text, r#"denali_serve_stage_us_count{stage="prepare"}"#),
+        5
+    );
 }
 
 /// The `q`-quantile of ascending `sorted` by nearest rank, the rank
